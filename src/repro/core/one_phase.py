@@ -30,182 +30,96 @@ Key properties reproduced from the paper:
   log partition from the central storage (see
   :mod:`repro.core.recovery`) instead of blocking.
 
+The flow itself is :class:`~repro.protocols.base.OnePhaseCore`, shared
+with the logless LGL engine; this module states 1PC's durability medium
+(WAL forces on the shared log), its worker probe (fence, then read the
+worker's log) and its log-scan recovery.
+
 Cost accounting (Table I row 1PC): (3, 1) log writes total, (2, 0) in
 the critical path, 1 extra message (ACK), none in the critical path.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 from repro.core.recovery import probe_worker_log
-from repro.fs.operations import OpPlan, UnsupportedOperation
+from repro.fs.operations import OpPlan
 from repro.net.message import Message
 from repro.protocols.base import (
     MsgKind,
-    Protocol,
+    OnePhaseCore,
     ProtocolSpec,
     Transaction,
-    TransactionAborted,
     register_protocol,
 )
-from repro.protocols.registry import CAP_SHARED_LOG, reject_fanout
+from repro.protocols.registry import CAP_SHARED_LOG
 from repro.storage.fencing import FencedError
-from repro.storage.records import RecordKind
+from repro.storage.records import LogRecord, RecordKind
 from repro.storage.wal import LogLostError
 
-#: How long a worker waits for the coordinator's ACK before asking for
-#: a retransmission, in units of the protocol reply timeout.
-ACK_WAIT_FACTOR = 5
-
-#: How many times the coordinator retransmits a decided commit to a
-#: worker that missed the decision (each attempt waits out a rebooting
-#: worker for ``ACK_WAIT_FACTOR`` reply timeouts).
-COMMIT_DRIVE_RETRIES = 8
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.resources import Store
 
 
-class OnePhaseCommitProtocol(Protocol):
+class OnePhaseCommitProtocol(OnePhaseCore):
     """The paper's tailored one-phase atomic commitment protocol."""
 
     name = "1PC"
     #: §III: the protocol is designed for namespace operations that
     #: involve exactly two MDSs (one coordinator + one worker).
-    max_workers = 1
+    max_workers: Optional[int] = 1
+    update_flag = "commit"
+    vote_lost_note = "worker_fenced_mid_commit"
 
-    def claims_worker_message(self, msg: Message) -> bool:
-        """1PC marks its UPDATE_REQ with ``commit=True``; a bare
-        UPDATE_REQ or a PREPARE belongs to the 2PC-family fallback."""
-        if msg.kind == MsgKind.UPDATE_REQ and not msg.payload.get("commit"):
-            return False
-        if msg.kind == MsgKind.PREPARE:
+    # ------------------------------------------------------------------
+    # Durability: forces on the shared log
+    # ------------------------------------------------------------------
+
+    def _begin(self, txn: Transaction, inbox: "Store") -> Generator:
+        # STARTED plus the redo record for the whole namespace
+        # operation, forced in a single log write.
+        yield from self.wal.force(
+            self.state_rec(RecordKind.STARTED, txn.txn_id, op=txn.plan.op, workers=txn.workers),
+            self.redo_rec(txn.txn_id, txn.plan),
+        )
+
+    def _vote(self, txn_id: int, coordinator: str, inbox: "Store") -> Generator:
+        try:
+            yield from self.wal.force(
+                self.updates_rec(txn_id, self.store.updates_of(txn_id)),
+                self.state_rec(RecordKind.COMMITTED, txn_id, coordinator=coordinator),
+            )
+        except (FencedError, LogLostError):
             return False
         return True
 
-    # ------------------------------------------------------------------
-    # Coordinator
-    # ------------------------------------------------------------------
-
-    def coordinate(self, txn: Transaction) -> Generator:
-        if self.max_workers is not None and len(txn.workers) > self.max_workers:
-            raise UnsupportedOperation(
-                reject_fanout(self.name, self.max_workers, len(txn.workers))
-            )
-        inbox = self.server.open_session(txn.txn_id)
-        try:
-            # STARTED plus the redo record for the whole namespace
-            # operation, forced in a single log write.
-            yield from self.wal.force(
-                self.state_rec(
-                    RecordKind.STARTED, txn.txn_id, op=txn.plan.op, workers=txn.workers
-                ),
-                self.redo_rec(txn.txn_id, txn.plan),
-            )
-            try:
-                outcome = yield from self._coordinate_body(txn, inbox)
-            except TransactionAborted as aborted:
-                outcome = yield from self._abort(txn, aborted.reason)
-            return outcome
-        finally:
-            self.server.close_session(txn.txn_id)
-
-    def _coordinate_body(self, txn: Transaction, inbox) -> Generator:
-        plan, txn_id = txn.plan, txn.txn_id
-        yield from self.lock_all(txn_id, plan.locks(self.me))
-        yield from self.apply_updates(txn_id, plan.updates[self.me])
-
-        workers = list(txn.workers)
-        for worker in workers:
-            self._send_update_req(worker, txn_id, plan)
-        committed, outstanding, reason = yield from self._collect_worker_commits(
-            txn_id, workers, inbox
+    def _commit_self(self, txn_id: int, workers: Sequence[str], inbox: "Store") -> Generator:
+        """Force UPDATES+COMMITTED, then harden the stable image."""
+        yield from self.wal.force(
+            self.updates_rec(txn_id, self.store.pending_updates(txn_id)),
+            self.state_rec(RecordKind.COMMITTED, txn_id),
         )
-        if workers and not committed:
-            # Nobody's commit record is durable: refusers rolled back,
-            # crashed workers lost their volatile state, fenced workers
-            # can never force one — aborting is safe and unanimous.
-            raise TransactionAborted(reason or "no worker committed")
-        if outstanding:
-            # Partial failure (§III-C generalised to k workers): at
-            # least one worker's forced commit is durable, so the only
-            # atomic outcome is COMMIT — the remaining workers must be
-            # driven to it, never rolled back.
-            self.obs.annotate(
-                "partial_commit_resolution",
-                self.me,
-                txn=txn_id,
-                committed=list(committed),
-                outstanding=list(outstanding),
-            )
+        self.store.commit_durable(txn_id)
+        return True
 
-        # Decision reached: every worker has committed (or there is no
-        # worker).  The updates become visible in the cache, the client
-        # gets its reply and the locks drop *before* our commit write.
-        self.store.commit(txn_id)
-        replied_at = self.reply_to_client(txn, committed=True)
-        self.locks.release_all(txn_id)
-        yield from self._commit_self(txn_id)
-        for worker in committed:
-            self.send(worker, MsgKind.ACK, txn_id)
-        if outstanding:
-            yield from self._drive_stragglers(txn_id, plan, outstanding, inbox)
-        self.wal.checkpoint(txn_id)
-        return self.outcome(txn, committed=True, replied_at=replied_at)
+    def _log_abort(self, txn_id: int, reason: str, inbox: "Store") -> Generator:
+        yield from self.wal.force(self.state_rec(RecordKind.ABORTED, txn_id, reason=reason))
 
-    def _send_update_req(self, worker: str, txn_id: int, plan: OpPlan, **extra) -> None:
-        self.send(
-            worker,
-            MsgKind.UPDATE_REQ,
-            txn_id,
-            updates=[u.describe() for u in plan.updates[worker]],
-            op=plan.op,
-            commit=True,
-            **extra,
-        )
+    def _finalize(self, txn_id: int) -> None:
+        """Lazy ENDED, then garbage-collect once it is durable."""
+        flush = self.wal.append_lazy(self.state_rec(RecordKind.ENDED, txn_id))
+        flush.callbacks.append(lambda ev, t=txn_id: self.wal.checkpoint(t) if ev.ok else None)
 
-    def _collect_worker_commits(
-        self, txn_id: int, workers, inbox, watch_detector: bool = True
-    ) -> Generator:
-        """Collect every worker's vote: its forced commit (UPDATED), a
-        refusal (NOT_PREPARED), or — once it goes silent — the verdict
-        of its shared-log probe (§III-C, per participant).
+    def _already_committed(self, txn_id: int) -> bool:
+        return self.wal.has(RecordKind.COMMITTED, txn_id) or self.store.has_applied(txn_id)
 
-        Returns ``(committed, outstanding, reason)``: the workers whose
-        commit record is known durable, the failed workers that must be
-        driven to commit if the global outcome is COMMIT, and an abort
-        reason naming every failed worker (``None`` when all
-        committed).
-        """
-        pending = dict.fromkeys(workers)
-        committed: list = []
-        failed: dict = {}
-        while pending:
-            msg = yield from self._await_worker_reply(
-                txn_id, pending, inbox, watch_detector=watch_detector
-            )
-            if msg is None:
-                break
-            if msg.src not in pending:
-                continue  # duplicate reply from an already-counted worker
-            del pending[msg.src]
-            if msg.kind == MsgKind.NOT_PREPARED:
-                failed[msg.src] = (
-                    f"worker {msg.src} rejected the updates: "
-                    f"{msg.payload.get('reason', 'no reason given')}"
-                )
-            else:
-                committed.append(msg.src)
-        for worker in list(pending):
-            # Worker unresponsive: enter the shared-log recovery.
-            if (yield from self._probe_worker(txn_id, worker)):
-                committed.append(worker)
-            else:
-                failed[worker] = f"worker {worker} crashed before committing"
-        outstanding = [w for w in workers if w in failed]
-        reason = "; ".join(failed[w] for w in workers if w in failed) or None
-        return committed, outstanding, reason
+    # ------------------------------------------------------------------
+    # Silent workers: heartbeats, then fence and read the shared log
+    # ------------------------------------------------------------------
 
-    def _await_worker_reply(
-        self, txn_id: int, pending, inbox, watch_detector: bool = True
+    def _await_vote(
+        self, txn_id: int, pending: dict, inbox: "Store", watch_detector: bool
     ) -> Generator:
         """Wait for one outstanding worker's reply, watching the
         failure detector.
@@ -243,198 +157,19 @@ class OnePhaseCommitProtocol(Protocol):
                     )
                 return None
 
-    def _drive_stragglers(self, txn_id: int, plan: OpPlan, stragglers, inbox) -> Generator:
-        """Drive workers that missed a COMMIT decision to apply it.
-
-        The decision is durable (our COMMITTED record plus at least one
-        worker's), so each straggler is retransmitted the
-        commit-carrying UPDATE_REQ marked ``decided`` until it
-        confirms: a rebooted worker runs the session from scratch, a
-        worker that already committed re-acknowledges from its log, and
-        a worker that refused earlier applies the updates it rolled
-        back — with one worker a refusal aborts the transaction, which
-        is exactly why the paper's two-party 1PC never overrides a
-        vote (§III); see :mod:`repro.core.fanout`.
-        """
-        for worker in stragglers:
-            for _ in range(COMMIT_DRIVE_RETRIES):
-                self._send_update_req(worker, txn_id, plan, decided=True)
-                msg = yield from self._await_commit_confirmation(txn_id, worker, inbox)
-                if msg is not None and msg.kind == MsgKind.UPDATED:
-                    self.send(worker, MsgKind.ACK, txn_id)
-                    break
-            else:
-                self.obs.annotate(
-                    "commit_drive_exhausted", self.me, txn=txn_id, worker=worker
-                )
-
-    def _await_commit_confirmation(self, txn_id: int, worker: str, inbox) -> Generator:
-        """One retransmission round: wait out even a rebooting worker,
-        answering ACK_REQs from already-committed peers meanwhile."""
-        deadline = self.sim.now + self.params.failure.reply_timeout * ACK_WAIT_FACTOR
-        while True:
-            remaining = deadline - self.sim.now
-            if remaining <= 0:
-                return None
-            msg = yield from self.recv(
-                inbox,
-                kinds=frozenset(
-                    {MsgKind.UPDATED, MsgKind.NOT_PREPARED, MsgKind.ACK_REQ}
-                ),
-                timeout=remaining,
-            )
-            if msg is None:
-                return None
-            if msg.kind == MsgKind.ACK_REQ:
-                self.send(msg.src, MsgKind.ACK, msg.txn_id)
-                continue
-            if msg.src != worker:
-                continue
-            return msg
-
-    def _probe_worker(self, txn_id: int, worker: str) -> Generator:
+    def _probe(self, txn_id: int, worker: str, inbox: "Store") -> Generator:
         """Fence the worker and read its shared log (§III-C case 2)."""
         self.obs.annotate("probe_start", self.me, txn=txn_id, worker=worker)
         result = yield from probe_worker_log(self.server.cluster, self.me, worker, txn_id)
         return result.committed
 
-    def _commit_self(self, txn_id: int, updates=None) -> Generator:
-        """Force UPDATES+COMMITTED, then harden the stable image."""
-        if updates is None:
-            updates = self._committed_updates(txn_id)
-        yield from self.wal.force(
-            self.updates_rec(txn_id, updates),
-            self.state_rec(RecordKind.COMMITTED, txn_id),
-        )
-        self.store.commit_durable(txn_id)
-
-    def _committed_updates(self, txn_id: int):
-        """Updates of a transaction that may already be cache-committed."""
-        pending = self.store._pending_harden.get(txn_id)
-        if pending is not None:
-            return list(pending)
-        return self.store.updates_of(txn_id)
-
-    def _abort(self, txn: Transaction, reason: str) -> Generator:
-        txn_id = txn.txn_id
-        yield from self.wal.force(self.state_rec(RecordKind.ABORTED, txn_id, reason=reason))
-        self.store.abort(txn_id)
-        self.locks.release_all(txn_id)
-        replied_at = self.reply_to_client(txn, committed=False, reason=reason)
-        self.wal.checkpoint(txn_id)
-        return self.outcome(txn, committed=False, replied_at=replied_at, reason=reason)
-
-    # ------------------------------------------------------------------
-    # Worker
-    # ------------------------------------------------------------------
-
-    def worker_session(self, first: Message, inbox) -> Generator:
-        txn_id, coordinator = first.txn_id, first.src
-        try:
-            if first.kind != MsgKind.UPDATE_REQ or not first.payload.get("commit"):
-                self.send(coordinator, MsgKind.NOT_PREPARED, txn_id)
-                return None
-            if self.wal.has(RecordKind.COMMITTED, txn_id) or self.store.has_applied(txn_id):
-                # Duplicate request (coordinator re-executed after a
-                # crash): we already committed — just re-acknowledge.
-                self.send(coordinator, MsgKind.UPDATED, txn_id, ok=True)
-                yield from self._await_ack_and_finalize(txn_id, coordinator, inbox)
-                return None
-
-            updates = self.decode_updates(first.payload)
-            try:
-                # A ``decided`` retransmission means the global outcome
-                # is already COMMIT (some sibling's forced commit is
-                # durable): our vote no longer exists to refuse.
-                if self.server.fail_next_vote and not first.payload.get("decided"):
-                    self.server.fail_next_vote = False
-                    raise TransactionAborted("injected vote failure")
-                yield from self.lock_all(txn_id, self._lock_targets(updates))
-                yield from self.apply_updates(txn_id, updates)
-                # The worker's commit *is* its vote.
-                updates_rec = self.updates_rec(txn_id, self.store.updates_of(txn_id))
-                yield from self.wal.force(
-                    updates_rec,
-                    self.state_rec(RecordKind.COMMITTED, txn_id, coordinator=coordinator),
-                )
-            except TransactionAborted as aborted:
-                self.store.abort(txn_id)
-                self.locks.release_all(txn_id)
-                self.send(coordinator, MsgKind.NOT_PREPARED, txn_id, reason=aborted.reason)
-                return None
-            except (FencedError, LogLostError):
-                # Fenced mid-commit (the coordinator gave up on us) or
-                # crashed log: the commit never became durable, so the
-                # coordinator will read "no entry" and abort.  Drop
-                # everything locally.
-                self.store.abort(txn_id)
-                self.locks.release_all(txn_id)
-                self.obs.annotate("worker_fenced_mid_commit", self.me, txn=txn_id)
-                return None
-            self.store.commit_durable(txn_id)
-            self.locks.release_all(txn_id)
-            self.send(coordinator, MsgKind.UPDATED, txn_id, ok=True)
-            yield from self._await_ack_and_finalize(txn_id, coordinator, inbox)
-            return None
-        finally:
-            self.server.close_session(txn_id)
-
-    @staticmethod
-    def _lock_targets(updates) -> list:
-        seen: dict = {}
-        for update in updates:
-            seen.setdefault(update.target())
-        return list(seen)
-
-    def _await_ack_and_finalize(self, txn_id: int, coordinator: str, inbox) -> Generator:
-        """Wait for the coordinator's ACK, then finalise with ENDED.
-
-        A duplicate commit-carrying UPDATE_REQ in the meantime means
-        the coordinator crashed and is re-executing from its redo
-        record: re-acknowledge with UPDATED (we already committed).
-        """
-        asked = False
-        while True:
-            msg = yield from self.recv(
-                inbox,
-                kinds=frozenset({MsgKind.ACK, MsgKind.UPDATE_REQ}),
-                timeout=self.params.failure.reply_timeout * ACK_WAIT_FACTOR,
-            )
-            if msg is None:
-                if asked:
-                    self.obs.annotate("worker_unfinalized", self.me, txn=txn_id)
-                    return
-                # §III-C: ask the coordinator to resend the ACKNOWLEDGE.
-                self.send(coordinator, MsgKind.ACK_REQ, txn_id)
-                asked = True
-                continue
-            if msg.kind == MsgKind.UPDATE_REQ:
-                self.send(msg.src, MsgKind.UPDATED, txn_id, ok=True)
-                continue
-            break
-        self._finalize(txn_id)
-
-    def _finalize(self, txn_id: int) -> None:
-        """Lazy ENDED, then garbage-collect once it is durable."""
-        flush = self.wal.append_lazy(self.state_rec(RecordKind.ENDED, txn_id))
-        flush.callbacks.append(lambda ev, t=txn_id: self.wal.checkpoint(t) if ev.ok else None)
-
     # ------------------------------------------------------------------
     # Recovery (§III-C)
     # ------------------------------------------------------------------
 
-    def recover(self) -> Generator:
-        for txn_id in self.wal.open_transactions():
-            records = self.wal.records_for(txn_id)
-            if not self.owns_txn(records):
-                continue
-            state = self.wal.last_state(txn_id)
-            if any(r.kind == RecordKind.STARTED for r in records):
-                yield from self._recover_coordinator(txn_id, state, records)
-            else:
-                yield from self._recover_worker(txn_id, state, records)
-
-    def _recover_coordinator(self, txn_id: int, state, records) -> Generator:
+    def _recover_coordinator(
+        self, txn_id: int, state: Optional[RecordKind], records: Sequence[LogRecord]
+    ) -> Generator:
         if state == RecordKind.STARTED:
             # "The coordinator restarts the transaction from the
             # beginning" using the redo record.
@@ -447,9 +182,7 @@ class OnePhaseCommitProtocol(Protocol):
             # "The transaction is already committed and the coordinator
             # does nothing."  We still fold the updates if the crash hit
             # between the log force and the fold.
-            if not self.store.has_applied(txn_id):
-                yield from self._reapply_logged_updates(txn_id, records)
-                self.store.commit_durable(txn_id)
+            yield from self._restore_committed(txn_id, self._logged_updates(records))
             plan = self._plan_from_redo(records)
             workers = (
                 [n for n in plan.participants if n != self.me] if plan is not None else []
@@ -470,153 +203,47 @@ class OnePhaseCommitProtocol(Protocol):
         elif state == RecordKind.ABORTED:
             self.wal.checkpoint(txn_id)
 
-    def _re_execute(self, txn_id: int, plan: OpPlan) -> Generator:
-        """Redo-record replay: run the transaction again end to end."""
-        self.obs.annotate("recovery", self.me, txn=txn_id, action="redo")
-        inbox = self.server.open_session(txn_id)
-        try:
-            try:
-                yield from self.lock_all(txn_id, plan.locks(self.me))
-                yield from self.apply_updates(txn_id, plan.updates[self.me])
-            except TransactionAborted as aborted:
-                # Replay of our own logged operation cannot conflict
-                # unless the transaction already committed once.
-                self.store.abort(txn_id)
-                self.locks.release_all(txn_id)
-                yield from self.wal.force(
-                    self.state_rec(RecordKind.ABORTED, txn_id, reason=aborted.reason)
-                )
-                self.wal.checkpoint(txn_id)
-                return
-            workers = [n for n in plan.participants if n != self.me]
-            committed: list = []
-            outstanding: list = []
-            if workers:
-                for worker in workers:
-                    self._send_update_req(worker, txn_id, plan)
-                committed, outstanding, _ = yield from self._collect_worker_commits(
-                    txn_id, workers, inbox, watch_detector=False
-                )
-                if not committed:
-                    self.store.abort(txn_id)
-                    self.locks.release_all(txn_id)
-                    yield from self.wal.force(
-                        self.state_rec(RecordKind.ABORTED, txn_id, reason="redo failed")
-                    )
-                    self.wal.checkpoint(txn_id)
-                    return
-            self.locks.release_all(txn_id)
-            yield from self._commit_self(txn_id)
-            for worker in committed:
-                self.send(worker, MsgKind.ACK, txn_id)
-            if outstanding:
-                yield from self._drive_stragglers(txn_id, plan, outstanding, inbox)
-            self.wal.checkpoint(txn_id)
-            self.obs.annotate("recovery", self.me, txn=txn_id, action="redo-committed")
-        finally:
-            self.server.close_session(txn_id)
-
-    def _recover_worker(self, txn_id: int, state, records) -> Generator:
+    def _recover_worker(
+        self, txn_id: int, state: Optional[RecordKind], records: Sequence[LogRecord]
+    ) -> Generator:
         if state == RecordKind.COMMITTED:
-            # "The worker asks the coordinator to resend the
-            # ACKNOWLEDGE message."
-            if not self.store.has_applied(txn_id):
-                yield from self._reapply_logged_updates(txn_id, records)
-                self.store.commit_durable(txn_id)
-            coordinator = self._coordinator_from(records)
-            inbox = self.server.open_session(txn_id)
-            try:
-                if coordinator is None:
-                    return
-                self.send(coordinator, MsgKind.ACK_REQ, txn_id)
-                msg = yield from self.recv(
-                    inbox,
-                    kinds=frozenset({MsgKind.ACK}),
-                    timeout=self.params.failure.reply_timeout * ACK_WAIT_FACTOR,
-                )
-                if msg is not None:
-                    self._finalize(txn_id)
-                self.obs.annotate("recovery", self.me, txn=txn_id, action="ack-requested")
-            finally:
-                self.server.close_session(txn_id)
+            yield from self._restore_committed(txn_id, self._logged_updates(records))
+            yield from self._reclaim_ack(txn_id, self._coordinator_from(records))
         elif state == RecordKind.ENDED:
             # "The coordinator has committed and it does not need the
             # log anymore."
             self.wal.checkpoint(txn_id)
 
-    def _reapply_logged_updates(self, txn_id: int, records) -> Generator:
-        from repro.fs.objects import update_from_description
-
-        for record in records:
-            if record.kind == RecordKind.UPDATES:
-                for desc in record.payload.get("updates", []):
-                    yield self.sim.timeout(self.params.compute.write_latency)
-                    self.store.apply(txn_id, update_from_description(desc))
-
-    def _plan_from_redo(self, records) -> Optional[OpPlan]:
-        from repro.fs.objects import update_from_description
-
+    @staticmethod
+    def _plan_from_redo(records: Sequence[LogRecord]) -> Optional[OpPlan]:
         for record in records:
             if record.kind == RecordKind.REDO:
-                desc = record.payload["plan"]
-                updates = {
-                    node: [update_from_description(d) for d in descs]
-                    for node, descs in desc["updates"].items()
-                }
-                return OpPlan(
-                    op=desc["op"],
-                    path=desc["path"],
-                    updates=updates,
-                    coordinator=desc["coordinator"],
-                    detail=dict(desc.get("detail", {})),
-                )
-        return None
-
-    @staticmethod
-    def _coordinator_from(records) -> Optional[str]:
-        for record in records:
-            if "coordinator" in record.payload:
-                return record.payload["coordinator"]
+                return OpPlan.from_description(record.payload["plan"])
         return None
 
     # ------------------------------------------------------------------
     # Stray messages
     # ------------------------------------------------------------------
 
-    def handle_stray(self, msg: Message):
+    def handle_stray(self, msg: Message) -> Optional[Generator]:
         if msg.kind == MsgKind.ACK_REQ:
             # A recovered worker wants its ACK.  If our log has no entry
             # the transaction was committed and checkpointed; if it has
             # COMMITTED we committed too.  Either way: ACK.
-            state = self.wal.last_state(msg.txn_id)
-
-            def respond():
-                if state in (None, RecordKind.COMMITTED, RecordKind.ENDED):
-                    self.send(msg.src, MsgKind.ACK, msg.txn_id)
-                return None
-                yield  # pragma: no cover - generator marker
-
-            return respond()
+            if self.wal.last_state(msg.txn_id) in (
+                None,
+                RecordKind.COMMITTED,
+                RecordKind.ENDED,
+            ):
+                return self._stray_reply(msg, MsgKind.ACK)
+            return self._stray(lambda: None)  # undecided: nothing to say yet
         if msg.kind == MsgKind.ACK and self.wal.last_state(msg.txn_id) == RecordKind.COMMITTED:
             # Late ACK for a worker whose session is gone.
-            def finalize():
-                self._finalize(msg.txn_id)
-                return None
-                yield  # pragma: no cover - generator marker
-
-            return finalize()
-        if msg.kind == MsgKind.UPDATE_REQ and msg.payload.get("commit"):
+            return self._stray(lambda: self._finalize(msg.txn_id))
+        if self._speaks(msg) and self._already_committed(msg.txn_id):
             # Duplicate commit-carrying request after both sides
             # recovered: answer from the log.
-            if self.wal.has(RecordKind.COMMITTED, msg.txn_id) or self.store.has_applied(
-                msg.txn_id
-            ):
-                def re_ack():
-                    self.send(msg.src, MsgKind.UPDATED, msg.txn_id, ok=True)
-                    return None
-                    yield  # pragma: no cover - generator marker
-
-                return re_ack()
+            return self._stray_reply(msg, MsgKind.UPDATED, ok=True)
         return super().handle_stray(msg)
 
 

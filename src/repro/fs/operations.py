@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.fs.objects import (
     AddDentry,
@@ -29,6 +29,7 @@ from repro.fs.objects import (
     RemoveDirTable,
     TouchInode,
     Update,
+    update_from_description,
 )
 from repro.fs.placement import PlacementPolicy
 
@@ -44,6 +45,18 @@ def split_path(path: str) -> tuple[str, str]:
         raise ValueError("cannot split the root path")
     head, _, tail = path.rpartition("/")
     return (head or "/", tail)
+
+
+def lock_targets(updates: Iterable[Update]) -> list[ObjectId]:
+    """Objects ``updates`` touch, once each, in first-touch order.
+
+    The deterministic 2PL lock order for a coordinator's plan share
+    and for the updates a worker receives alike.
+    """
+    seen: dict[ObjectId, None] = {}
+    for update in updates:
+        seen.setdefault(update.target())
+    return list(seen)
 
 
 class InodeAllocator:
@@ -91,13 +104,10 @@ class OpPlan:
 
     def locks(self, node: str) -> list[ObjectId]:
         """Objects ``node`` must lock, in deterministic order."""
-        seen: dict[ObjectId, None] = {}
-        for update in self.updates.get(node, []):
-            seen.setdefault(update.target())
-        return list(seen)
+        return lock_targets(self.updates.get(node, []))
 
     def describe(self) -> dict:
-        """Serialisable form for 1PC redo records."""
+        """Serialisable form for redo records (1PC's REDO, LGL's BEGIN)."""
         return {
             "op": self.op,
             "path": self.path,
@@ -107,6 +117,20 @@ class OpPlan:
             },
             "detail": dict(self.detail),
         }
+
+    @classmethod
+    def from_description(cls, desc: dict) -> "OpPlan":
+        """The plan :meth:`describe` serialised (its inverse)."""
+        return cls(
+            op=desc["op"],
+            path=desc["path"],
+            updates={
+                node: [update_from_description(d) for d in descs]
+                for node, descs in desc["updates"].items()
+            },
+            coordinator=desc["coordinator"],
+            detail=dict(desc.get("detail", {})),
+        )
 
 
 def _merge(updates: dict[str, list[Update]], node: str, update: Update) -> None:

@@ -298,6 +298,14 @@ class MetadataStore:
             return []
         return list(self._overlays[txn_id][1])
 
+    def pending_updates(self, txn_id: int) -> list[Update]:
+        """Updates ``txn_id`` still has to harden: its cache-committed
+        batch awaiting the log write, else its open overlay."""
+        pending = self._pending_harden.get(txn_id)
+        if pending is not None:
+            return list(pending)
+        return self.updates_of(txn_id)
+
     def commit(self, txn_id: int) -> None:
         """Fold ``txn_id``'s overlay into the cache image.
 

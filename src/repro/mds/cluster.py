@@ -42,12 +42,12 @@ from repro.mds.replica import BackupReplica
 from repro.mds.server import MDSServer
 from repro.net import Network
 from repro.obs import Observability
-from repro.protocols import PROTOCOLS
 from repro.protocols.base import TxnOutcome
 from repro.protocols.registry import (
     CAP_LOGLESS,
     CAP_NEEDS_ACCEPTORS,
     CAP_SHARED_LOG,
+    default_protocols,
     get_spec,
 )
 from repro.sim import RngRegistry, Simulator
@@ -79,8 +79,10 @@ class Cluster:
         sim: Optional[Simulator] = None,
         outcome_sink: Optional[Callable[[TxnOutcome], None]] = None,
     ):
-        if protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {protocol!r}; have {sorted(PROTOCOLS)}")
+        if protocol not in default_protocols():
+            raise ValueError(
+                f"unknown protocol {protocol!r}; have {sorted(default_protocols())}"
+            )
         if fencing not in FENCING_DRIVERS:
             raise ValueError(f"unknown fencing driver {fencing!r}; have {FENCING_DRIVERS}")
         self.protocol_name = protocol
@@ -121,12 +123,12 @@ class Cluster:
         )
         self.fencing_driver = self._make_fencing_driver(fencing)
 
-        protocol_cls = PROTOCOLS[protocol]
+        protocol_cls = spec.engine
         fallback_cls = None
         if protocol_cls.max_workers is not None and fallback:
-            if fallback not in PROTOCOLS:
+            if fallback not in default_protocols():
                 raise ValueError(f"unknown fallback protocol {fallback!r}")
-            fallback_cls = PROTOCOLS[fallback]
+            fallback_cls = get_spec(fallback).engine
 
         # Protocol-declared infrastructure: acceptor processes for
         # Paxos Commit, backup replicas for the logless 1PC.  The

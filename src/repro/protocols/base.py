@@ -1,4 +1,4 @@
-"""Shared machinery for atomic commitment protocols.
+"""The commit/recovery skeleton every protocol engine specialises.
 
 Each MDS owns one protocol engine instance (a subclass of
 :class:`Protocol`).  The engine plays both roles:
@@ -13,25 +13,42 @@ Recovery hooks: :meth:`Protocol.recover` runs once after reboot;
 :meth:`Protocol.handle_stray` deals with protocol messages for
 transactions that have no live session (typically retransmissions
 arriving after a crash or after checkpointing).
+
+The skeleton fixes the order of the steps; an engine states only the
+steps where it differs (Gray & Lamport write 2PC and Paxos Commit as
+refinements of one commit specification in the same way):
+
+* :class:`Protocol` -- the coordinator template (worker-limit check,
+  session, durable begin, body, abort on :class:`TransactionAborted`),
+  the UPDATE_REQ sender, the reply-gathering loop, the worker's
+  lock-and-apply step, the reboot-time log scan and the stray-message
+  answers.  The 2PC family (:mod:`repro.protocols.prn` and its
+  subclasses) builds its vote and decision phases on it.
+* :class:`OnePhaseCore` -- the one-phase flow in which the worker's
+  durable commit *is* its vote.  1PC (:mod:`repro.core.one_phase`) and
+  the logless LGL (:mod:`repro.protocols.lgl`) specialise it by their
+  durability medium (WAL forces or backup replication), their worker
+  probe (fence plus shared-log read, or a backup seal) and their
+  UPDATE_REQ flag.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Generator, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional, Sequence
 
 from repro.fs.objects import ObjectId, Update, update_from_description
-from repro.fs.operations import OpPlan
+from repro.fs.operations import OpPlan, UnsupportedOperation, lock_targets
 from repro.locks import LockMode, LockTimeout
 from repro.net.message import Message
-from repro.protocols.registry import PROTOCOLS, ProtocolSpec, register_protocol
+from repro.protocols.registry import ProtocolSpec, register_protocol, reject_fanout
 from repro.sim import AnyOf
 from repro.storage.records import LogRecord, RecordKind
 
 __all__ = [
-    "PROTOCOLS",
     "SESSION_OPENERS",
     "MsgKind",
+    "OnePhaseCore",
     "Protocol",
     "ProtocolSpec",
     "Transaction",
@@ -47,7 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mds.server import MDSServer
     from repro.obs.hub import Observability
     from repro.sim.kernel import Simulator
-    from repro.sim.monitor import TraceLog
     from repro.sim.resources import Store
     from repro.storage.wal import WriteAheadLog
 
@@ -97,6 +113,22 @@ class MsgKind:
 
 #: Message kinds that may open a new worker session.
 SESSION_OPENERS = frozenset({MsgKind.UPDATE_REQ, MsgKind.PREPARE})
+
+#: Per awaited reply kind: how a timeout and a refusal read in the
+#: abort reason.
+_REPLY_WORDING = {
+    MsgKind.UPDATED: ("UPDATED", "rejected the updates"),
+    MsgKind.PREPARED: ("votes", "voted NOT-PREPARED"),
+}
+
+#: How long a one-phase worker waits for the coordinator's ACK before
+#: asking for a retransmission, in units of the protocol reply timeout.
+ACK_WAIT_FACTOR = 5
+
+#: How many times a one-phase coordinator retransmits a decided commit
+#: to a worker that missed the decision (each attempt waits out a
+#: rebooting worker for ``ACK_WAIT_FACTOR`` reply timeouts).
+COMMIT_DRIVE_RETRIES = 8
 
 
 class TransactionAborted(Exception):
@@ -149,6 +181,10 @@ class Protocol:
     name = ""
     #: Maximum number of workers the protocol supports (None = any).
     max_workers: Optional[int] = None
+    #: Payload flag marking the UPDATE_REQs this engine sends and
+    #: answers (``prepare`` for EP, ``commit`` for 1PC, ``vote`` for
+    #: LGL); None for a bare request.
+    update_flag: Optional[str] = None
 
     def __init__(self, server: "MDSServer") -> None:
         self.server = server
@@ -163,6 +199,12 @@ class Protocol:
         fallback traffic reaches the fallback engine.
         """
         return True
+
+    def _speaks(self, msg: Message) -> bool:
+        """Whether ``msg`` is an UPDATE_REQ in this engine's format."""
+        if msg.kind != MsgKind.UPDATE_REQ:
+            return False
+        return self.update_flag is None or bool(msg.payload.get(self.update_flag))
 
     # -- convenience accessors ------------------------------------------------
 
@@ -189,10 +231,6 @@ class Protocol:
     @property
     def params(self) -> "SimulationParams":
         return self.server.params
-
-    @property
-    def trace(self) -> "TraceLog":
-        return self.server.trace
 
     @property
     def obs(self) -> "Observability":
@@ -377,19 +415,176 @@ class Protocol:
         self.wal.checkpoint(txn_id)
         return self.outcome(txn, committed=True, replied_at=replied_at)
 
-    # -- interface to implement -------------------------------------------------------
+    # -- coordinator skeleton -----------------------------------------------------------
 
-    def coordinate(self, txn: Transaction) -> Generator:  # pragma: no cover - abstract
+    def coordinate(self, txn: Transaction) -> Generator:
         """Run the transaction as coordinator; returns a TxnOutcome."""
+        if self.max_workers is not None and len(txn.workers) > self.max_workers:
+            raise UnsupportedOperation(
+                reject_fanout(self.name, self.max_workers, len(txn.workers))
+            )
+        inbox = self.server.open_session(txn.txn_id)
+        try:
+            unbegun = yield from self._begin(txn, inbox)
+            if unbegun is not None:
+                # Nothing is durable yet, so there is no abort to record.
+                return self._drop(txn, unbegun)
+            try:
+                return (yield from self._coordinate_body(txn, inbox))
+            except TransactionAborted as aborted:
+                return (yield from self._abort(txn, inbox, aborted.reason))
+        finally:
+            self.server.close_session(txn.txn_id)
+
+    def _begin(self, txn: Transaction, inbox: "Store") -> Generator:  # pragma: no cover
+        """Make the transaction's start durable.  Returns ``None``, or
+        the abort reason when the begin itself could not be made
+        durable."""
         raise NotImplementedError
+
+    def _coordinate_body(self, txn: Transaction, inbox: "Store") -> Generator:  # pragma: no cover
+        """Execute, vote and decide; raise :class:`TransactionAborted`
+        to abort.  Returns the TxnOutcome."""
+        raise NotImplementedError
+
+    def _abort(
+        self, txn: Transaction, inbox: "Store", reason: str
+    ) -> Generator:  # pragma: no cover - abstract
+        """Make the abort durable, roll back and answer the client."""
+        raise NotImplementedError
+
+    def _drop(self, txn: Transaction, reason: str) -> TxnOutcome:
+        """Roll back, release, tell the client and forget the txn."""
+        self.store.abort(txn.txn_id)
+        self.locks.release_all(txn.txn_id)
+        replied_at = self.reply_to_client(txn, committed=False, reason=reason)
+        self._forget(txn.txn_id)
+        return self.outcome(txn, committed=False, replied_at=replied_at, reason=reason)
+
+    def _forget(self, txn_id: int) -> None:
+        """Drop the settled transaction's durable state."""
+        self.wal.checkpoint(txn_id)
+
+    def _send_update_req(self, worker: str, txn_id: int, plan: OpPlan, **extra: Any) -> None:
+        """Ship ``worker`` its share of the plan, in this engine's format."""
+        if self.update_flag is not None:
+            extra = {self.update_flag: True, **extra}
+        self.send(
+            worker,
+            MsgKind.UPDATE_REQ,
+            txn_id,
+            updates=[u.describe() for u in plan.updates[worker]],
+            op=plan.op,
+            **extra,
+        )
+
+    def _gather_replies(self, inbox: "Store", workers: Sequence[str], kind: str) -> Generator:
+        """Wait for a ``kind`` reply from every worker; a refusal
+        (NOT_PREPARED, or ``ok=False``) or a silent worker aborts."""
+        awaited, refused = _REPLY_WORDING[kind]
+        pending = set(workers)
+        while pending:
+            msg = yield from self.recv(
+                inbox,
+                kinds=frozenset({kind, MsgKind.NOT_PREPARED}),
+                timeout=self.params.failure.reply_timeout,
+            )
+            if msg is None:
+                raise TransactionAborted(f"timeout waiting for {awaited} from {sorted(pending)}")
+            if msg.kind == MsgKind.NOT_PREPARED or not msg.payload.get("ok", True):
+                raise TransactionAborted(
+                    f"worker {msg.src} {refused}: "
+                    f"{msg.payload.get('reason', 'no reason given')}"
+                )
+            pending.discard(msg.src)
+
+    # -- worker skeleton ----------------------------------------------------------------
 
     def worker_session(self, first: Message, inbox: "Store") -> Generator:  # pragma: no cover
         """Participate in a remote transaction; ``first`` opened it."""
         raise NotImplementedError
 
-    def recover(self) -> Generator:  # pragma: no cover - abstract
-        """Reboot-time recovery from the local log."""
+    def _worker_execute(self, first: Message) -> Generator:
+        """Lock and apply the shipped updates.
+
+        Returns ``False`` after rolling back and answering NOT_PREPARED
+        when that fails (or the server's test hook refuses the vote).
+        """
+        txn_id, coordinator = first.txn_id, first.src
+        updates = self.decode_updates(first.payload)
+        try:
+            # A ``decided`` retransmission means the global outcome is
+            # already COMMIT (some sibling's forced commit is durable):
+            # our vote no longer exists to refuse.
+            if self.server.fail_next_vote and not first.payload.get("decided"):
+                self.server.fail_next_vote = False
+                raise TransactionAborted("injected vote failure")
+            yield from self.lock_all(txn_id, lock_targets(updates))
+            yield from self.apply_updates(txn_id, updates)
+        except TransactionAborted as aborted:
+            self.store.abort(txn_id)
+            self.locks.release_all(txn_id)
+            self.send(coordinator, MsgKind.NOT_PREPARED, txn_id, reason=aborted.reason)
+            return False
+        return True
+
+    # -- recovery skeleton --------------------------------------------------------------
+
+    def recover(self) -> Generator:
+        """Reboot-time log scan: resume every open transaction this
+        engine logged, as its coordinator (it wrote STARTED) or as a
+        worker."""
+        for txn_id in self.wal.open_transactions():
+            records = self.wal.records_for(txn_id)
+            if not self.owns_txn(records):
+                continue
+            state = self.wal.last_state(txn_id)
+            if any(r.kind == RecordKind.STARTED for r in records):
+                yield from self._recover_coordinator(txn_id, state, records)
+            else:
+                yield from self._recover_worker(txn_id, state, records)
+
+    def _recover_coordinator(
+        self, txn_id: int, state: Optional[RecordKind], records: Sequence[LogRecord]
+    ) -> Generator:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def _recover_worker(
+        self, txn_id: int, state: Optional[RecordKind], records: Sequence[LogRecord]
+    ) -> Generator:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    @staticmethod
+    def _logged_updates(records: Sequence[LogRecord]) -> list[dict]:
+        """Update descriptions of a transaction's UPDATES records."""
+        return [
+            desc
+            for record in records
+            if record.kind == RecordKind.UPDATES
+            for desc in record.payload.get("updates", [])
+        ]
+
+    @staticmethod
+    def _coordinator_from(records: Sequence[LogRecord]) -> Optional[str]:
+        for record in records:
+            if "coordinator" in record.payload:
+                return record.payload["coordinator"]
+        return None
+
+    def _reapply(self, txn_id: int, descs: Sequence[dict]) -> Generator:
+        """Re-install durable updates into the transaction's overlay."""
+        for desc in descs:
+            yield self.sim.timeout(self.params.compute.write_latency)
+            self.store.apply(txn_id, update_from_description(desc))
+
+    def _restore_committed(self, txn_id: int, descs: Sequence[dict]) -> Generator:
+        """Fold a durably committed transaction into the stable image,
+        unless the crash came after the fold."""
+        if not self.store.has_applied(txn_id):
+            yield from self._reapply(txn_id, descs)
+            self.store.commit_durable(txn_id)
+
+    # -- stray messages -----------------------------------------------------------------
 
     def handle_stray(self, msg: Message) -> Optional[Generator]:
         """React to a protocol message with no live session.
@@ -410,48 +605,406 @@ class Protocol:
         if msg.kind == MsgKind.ACK and self.wal.last_state(msg.txn_id) == RecordKind.ABORTED:
             # A worker finally acknowledged an abort whose session is
             # long gone: the abort information may now be forgotten.
-            def gc() -> Generator:
-                self.wal.checkpoint(msg.txn_id)
-                return None
-                yield  # pragma: no cover - generator marker
-
-            return gc()
+            return self._stray(lambda: self.wal.checkpoint(msg.txn_id))
         if msg.kind == MsgKind.DECISION_REQ:
-            return self._answer_decision_req(msg)
+            return self._stray(lambda: self._answer_decision(msg))
         return None
 
-    def _stray_reply(self, msg: Message, kind: str) -> Generator:
-        def responder() -> Generator:
-            self.send(msg.src, kind, msg.txn_id)
-            return None
-            yield  # pragma: no cover - makes this a generator
+    @staticmethod
+    def _stray(action: Callable[[], Any]) -> Generator:
+        """A process body that runs ``action`` and ends.
 
-        return responder()
+        The server runs every stray answer as a process of its own, so
+        an answer that needs no waiting still takes its kernel step.
+        """
+        yield from ()
+        action()
 
-    def _answer_decision_req(self, msg: Message) -> Generator:
+    def _stray_reply(self, msg: Message, kind: str, **payload: Any) -> Generator:
+        return self._stray(lambda: self.send(msg.src, kind, msg.txn_id, **payload))
+
+    def _answer_decision(self, msg: Message) -> None:
         """Coordinator-side: a restarted worker asks for the outcome."""
-
-        def responder() -> Generator:
-            state = self.wal.last_state(msg.txn_id)
-            if state in (RecordKind.COMMITTED, RecordKind.ENDED):
-                self.send(msg.src, MsgKind.COMMIT, msg.txn_id)
-            elif state == RecordKind.ABORTED:
-                self.send(msg.src, MsgKind.ABORT, msg.txn_id)
-            elif state is None:
-                # Log already checkpointed: apply the protocol's
-                # presumption.
-                self.send(msg.src, self.presumed_decision(), msg.txn_id)
-            else:
-                # STARTED / PREPARED: no decision yet; the coordinator's
-                # own recovery or timeout path will drive the outcome.
-                # Tell the worker to abort only if we know it is safe —
-                # we don't, so stay silent and let it retry.
-                pass
-            return None
-            yield  # pragma: no cover - makes this a generator
-
-        return responder()
+        state = self.wal.last_state(msg.txn_id)
+        if state in (RecordKind.COMMITTED, RecordKind.ENDED):
+            self.send(msg.src, MsgKind.COMMIT, msg.txn_id)
+        elif state == RecordKind.ABORTED:
+            self.send(msg.src, MsgKind.ABORT, msg.txn_id)
+        elif state is None:
+            # Log already checkpointed: apply the protocol's
+            # presumption.
+            self.send(msg.src, self.presumed_decision(), msg.txn_id)
+        # STARTED / PREPARED: no decision yet; the coordinator's own
+        # recovery or timeout path will drive the outcome.  Telling the
+        # worker to abort is not known to be safe, so stay silent and
+        # let it retry.
 
     def presumed_decision(self) -> str:
         """Decision implied by an absent coordinator log entry."""
         return MsgKind.COMMIT
+
+
+class OnePhaseCore(Protocol):
+    """The one-phase skeleton (§III): the worker's commit is its vote.
+
+    No voting phase: the coordinator ships the updates, each worker
+    makes its commit durable and answers UPDATED, and the coordinator's
+    durable begin (its redo) guarantees it can always re-execute.  A
+    silent worker is *probed* instead of waited for.  Engines state:
+
+    * the durability medium -- :meth:`_begin`, :meth:`_vote`,
+      :meth:`_commit_self`, :meth:`_log_abort`, :meth:`_forget` and
+      :meth:`_finalize` (WAL forces for 1PC, backup replication for
+      LGL), plus :meth:`_commit_redo` / :meth:`_abandon_redo` where a
+      replay's durable steps differ from a live transaction's, and
+      :meth:`_await_restart` / :meth:`_already_committed` for how a
+      worker recognises a duplicate request;
+    * the worker probe -- :meth:`_probe` (and :meth:`_await_vote` for
+      how long to wait before probing);
+    * the UPDATE_REQ flag -- :attr:`update_flag`.
+    """
+
+    #: Trace annotation for a worker whose vote never became durable.
+    vote_lost_note = ""
+
+    def claims_worker_message(self, msg: Message) -> bool:
+        """A bare UPDATE_REQ or a PREPARE belongs to the 2PC-family
+        fallback."""
+        return msg.kind not in SESSION_OPENERS or self._speaks(msg)
+
+    # -- coordinator ------------------------------------------------------------------
+
+    def _coordinate_body(self, txn: Transaction, inbox: "Store") -> Generator:
+        plan, txn_id = txn.plan, txn.txn_id
+        yield from self.lock_all(txn_id, plan.locks(self.me))
+        yield from self.apply_updates(txn_id, plan.updates[self.me])
+
+        workers = list(txn.workers)
+        committed, outstanding, reason = yield from self._collect_votes(
+            txn_id, plan, workers, inbox
+        )
+        if workers and not committed:
+            # Nobody's commit is durable: refusers rolled back, crashed
+            # workers lost their volatile state, fenced or sealed
+            # workers can never commit -- aborting is safe and unanimous.
+            raise TransactionAborted(reason or "no worker committed")
+        if outstanding:
+            # Partial failure (§III-C generalised to k workers): at
+            # least one worker's commit is durable, so the only atomic
+            # outcome is COMMIT -- the remaining workers must be driven
+            # to it, never rolled back.
+            self.obs.annotate(
+                "partial_commit_resolution",
+                self.me,
+                txn=txn_id,
+                committed=list(committed),
+                outstanding=list(outstanding),
+            )
+
+        # Decision reached: every worker has committed (or there is no
+        # worker).  The updates become visible in the cache, the client
+        # gets its reply and the locks drop *before* our own commit
+        # becomes durable.
+        self.store.commit(txn_id)
+        replied_at = self.reply_to_client(txn, committed=True)
+        self.locks.release_all(txn_id)
+        durable = yield from self._commit_self(txn_id, workers, inbox)
+        yield from self._settle(txn_id, plan, committed, outstanding, durable, inbox)
+        return self.outcome(txn, committed=True, replied_at=replied_at)
+
+    def _collect_votes(
+        self,
+        txn_id: int,
+        plan: OpPlan,
+        workers: Sequence[str],
+        inbox: "Store",
+        watch_detector: bool = True,
+    ) -> Generator:
+        """Ship the updates and collect every worker's vote: its durable
+        commit (UPDATED), a refusal (NOT_PREPARED), or -- once it goes
+        silent -- the verdict of its probe (§III-C, per participant).
+
+        Returns ``(committed, outstanding, reason)``: the workers whose
+        commit is known durable, the failed workers that must be
+        driven to commit if the global outcome is COMMIT, and an abort
+        reason naming every failed worker (``None`` when all
+        committed).
+        """
+        for worker in workers:
+            self._send_update_req(worker, txn_id, plan)
+        pending = dict.fromkeys(workers)
+        committed: list[str] = []
+        failed: dict[str, str] = {}
+        while pending:
+            msg = yield from self._await_vote(txn_id, pending, inbox, watch_detector)
+            if msg is None:
+                break
+            if msg.src not in pending:
+                continue  # duplicate reply from an already-counted worker
+            del pending[msg.src]
+            if msg.kind == MsgKind.NOT_PREPARED:
+                failed[msg.src] = (
+                    f"worker {msg.src} rejected the updates: "
+                    f"{msg.payload.get('reason', 'no reason given')}"
+                )
+            else:
+                committed.append(msg.src)
+        for worker in list(pending):
+            if (yield from self._probe(txn_id, worker, inbox)):
+                committed.append(worker)
+            else:
+                failed[worker] = f"worker {worker} crashed before committing"
+        outstanding = [w for w in workers if w in failed]
+        reason = "; ".join(failed[w] for w in outstanding) or None
+        return committed, outstanding, reason
+
+    def _await_vote(
+        self, txn_id: int, pending: dict, inbox: "Store", watch_detector: bool
+    ) -> Generator:
+        """One outstanding worker's UPDATED or NOT_PREPARED, or ``None``
+        after the reply timeout."""
+        return (
+            yield from self.recv(
+                inbox,
+                kinds=frozenset({MsgKind.UPDATED, MsgKind.NOT_PREPARED}),
+                timeout=self.params.failure.reply_timeout,
+            )
+        )
+
+    def _settle(
+        self,
+        txn_id: int,
+        plan: OpPlan,
+        committed: Sequence[str],
+        outstanding: Sequence[str],
+        durable: bool,
+        inbox: "Store",
+    ) -> Generator:
+        """After our own commit: acknowledge the committed workers,
+        drive the stragglers, and forget the transaction once our
+        commit is durable."""
+        for worker in committed:
+            self.send(worker, MsgKind.ACK, txn_id)
+        if outstanding:
+            yield from self._drive_stragglers(txn_id, plan, outstanding, inbox)
+        if durable:
+            self._forget(txn_id)
+
+    def _drive_stragglers(
+        self, txn_id: int, plan: OpPlan, stragglers: Sequence[str], inbox: "Store"
+    ) -> Generator:
+        """Drive workers that missed a COMMIT decision to apply it.
+
+        The decision is durable (our commit plus at least one worker's),
+        so each straggler is retransmitted the commit-carrying
+        UPDATE_REQ marked ``decided`` until it confirms: a rebooted
+        worker runs the session from scratch, a worker that already
+        committed re-acknowledges from its log, and a worker that
+        refused earlier applies the updates it rolled back -- with one
+        worker a refusal aborts the transaction, which is exactly why
+        the paper's two-party 1PC never overrides a vote (§III); see
+        :mod:`repro.core.fanout`.
+        """
+        for worker in stragglers:
+            for _ in range(COMMIT_DRIVE_RETRIES):
+                self._send_update_req(worker, txn_id, plan, decided=True)
+                msg = yield from self._await_commit_confirmation(txn_id, worker, inbox)
+                if msg is not None and msg.kind == MsgKind.UPDATED:
+                    self.send(worker, MsgKind.ACK, txn_id)
+                    break
+            else:
+                self.obs.annotate(
+                    "commit_drive_exhausted", self.me, txn=txn_id, worker=worker
+                )
+
+    def _await_commit_confirmation(self, txn_id: int, worker: str, inbox: "Store") -> Generator:
+        """One retransmission round: wait out even a rebooting worker,
+        answering ACK_REQs from already-committed peers meanwhile."""
+        deadline = self.sim.now + self.params.failure.reply_timeout * ACK_WAIT_FACTOR
+        while True:
+            remaining = deadline - self.sim.now
+            if remaining <= 0:
+                return None
+            msg = yield from self.recv(
+                inbox,
+                kinds=frozenset(
+                    {MsgKind.UPDATED, MsgKind.NOT_PREPARED, MsgKind.ACK_REQ}
+                ),
+                timeout=remaining,
+            )
+            if msg is None:
+                return None
+            if msg.kind == MsgKind.ACK_REQ:
+                self.send(msg.src, MsgKind.ACK, msg.txn_id)
+                continue
+            if msg.src != worker:
+                continue
+            return msg
+
+    def _abort(self, txn: Transaction, inbox: "Store", reason: str) -> Generator:
+        """Make the abort durable *before* the client hears it, so a
+        crash cannot re-execute the redo into a commit."""
+        yield from self._log_abort(txn.txn_id, reason, inbox)
+        return self._drop(txn, reason)
+
+    # -- durability steps (engine-specific) ---------------------------------------------
+
+    def _probe(self, txn_id: int, worker: str, inbox: "Store") -> Generator:  # pragma: no cover
+        """Settle a silent worker's vote for good: True if it committed."""
+        raise NotImplementedError
+
+    def _vote(self, txn_id: int, coordinator: str, inbox: "Store") -> Generator:  # pragma: no cover
+        """Worker: make the commit durable; False if it never became so."""
+        raise NotImplementedError
+
+    def _commit_self(
+        self, txn_id: int, workers: Sequence[str], inbox: "Store"
+    ) -> Generator:  # pragma: no cover
+        """Coordinator: make our own commit durable and harden the
+        stable image; returns whether it became durable."""
+        raise NotImplementedError
+
+    def _log_abort(self, txn_id: int, reason: str, inbox: "Store") -> Generator:  # pragma: no cover
+        """Coordinator: make the abort durable."""
+        raise NotImplementedError
+
+    def _finalize(self, txn_id: int) -> None:
+        """Worker: the coordinator's ACK arrived."""
+        self._forget(txn_id)
+
+    # -- worker -----------------------------------------------------------------------
+
+    def worker_session(self, first: Message, inbox: "Store") -> Generator:
+        txn_id, coordinator = first.txn_id, first.src
+        try:
+            if not self._speaks(first):
+                self.send(coordinator, MsgKind.NOT_PREPARED, txn_id)
+                return None
+            yield from self._await_restart()
+            if self._already_committed(txn_id):
+                # Duplicate request (the coordinator re-executed after a
+                # crash): we already committed -- just re-acknowledge.
+                self.send(coordinator, MsgKind.UPDATED, txn_id, ok=True)
+                yield from self._await_ack_and_finalize(txn_id, coordinator, inbox)
+                return None
+            if not (yield from self._worker_execute(first)):
+                return None
+            # The worker's commit *is* its vote.
+            if not (yield from self._vote(txn_id, coordinator, inbox)):
+                # Fenced or sealed mid-commit (the coordinator gave up on
+                # us) or log lost: the commit never became durable, so
+                # the coordinator reads "no commit" and aborts.  Drop
+                # everything locally.
+                self.store.abort(txn_id)
+                self.locks.release_all(txn_id)
+                self.obs.annotate(self.vote_lost_note, self.me, txn=txn_id)
+                return None
+            self.store.commit_durable(txn_id)
+            self.locks.release_all(txn_id)
+            self.send(coordinator, MsgKind.UPDATED, txn_id, ok=True)
+            yield from self._await_ack_and_finalize(txn_id, coordinator, inbox)
+            return None
+        finally:
+            self.server.close_session(txn_id)
+
+    def _await_restart(self) -> Generator:
+        """Wait until local state can answer a duplicate request."""
+        yield from ()
+
+    def _already_committed(self, txn_id: int) -> bool:
+        return self.store.has_applied(txn_id)
+
+    def _await_ack_and_finalize(self, txn_id: int, coordinator: str, inbox: "Store") -> Generator:
+        """Wait for the coordinator's ACK, then finalise.
+
+        A duplicate UPDATE_REQ in the meantime means the coordinator
+        crashed and is re-executing from its redo: re-acknowledge with
+        UPDATED (we already committed).
+        """
+        asked = False
+        while True:
+            msg = yield from self.recv(
+                inbox,
+                kinds=frozenset({MsgKind.ACK, MsgKind.UPDATE_REQ}),
+                timeout=self.params.failure.reply_timeout * ACK_WAIT_FACTOR,
+            )
+            if msg is None:
+                if asked:
+                    self.obs.annotate("worker_unfinalized", self.me, txn=txn_id)
+                    return
+                # §III-C: ask the coordinator to resend the ACKNOWLEDGE.
+                self.send(coordinator, MsgKind.ACK_REQ, txn_id)
+                asked = True
+                continue
+            if msg.kind == MsgKind.UPDATE_REQ:
+                self.send(msg.src, MsgKind.UPDATED, txn_id, ok=True)
+                continue
+            break
+        self._finalize(txn_id)
+
+    # -- recovery ---------------------------------------------------------------------
+
+    def _reclaim_ack(self, txn_id: int, coordinator: Optional[str]) -> Generator:
+        """Recovered committed worker: "The worker asks the coordinator
+        to resend the ACKNOWLEDGE message" (§III-C)."""
+        inbox = self.server.open_session(txn_id)
+        try:
+            if coordinator is None:
+                return
+            self.send(coordinator, MsgKind.ACK_REQ, txn_id)
+            msg = yield from self.recv(
+                inbox,
+                kinds=frozenset({MsgKind.ACK}),
+                timeout=self.params.failure.reply_timeout * ACK_WAIT_FACTOR,
+            )
+            if msg is not None:
+                self._finalize(txn_id)
+            self.obs.annotate("recovery", self.me, txn=txn_id, action="ack-requested")
+        finally:
+            self.server.close_session(txn_id)
+
+    def _re_execute(self, txn_id: int, plan: OpPlan) -> Generator:
+        """Redo replay: run the transaction again end to end.
+
+        No client is waiting (the reply died with the crash); "no
+        matter what will happen, the transaction will be committed
+        eventually" unless no worker commits.
+        """
+        self.obs.annotate("recovery", self.me, txn=txn_id, action="redo")
+        inbox = self.server.open_session(txn_id)
+        try:
+            try:
+                yield from self.lock_all(txn_id, plan.locks(self.me))
+                yield from self.apply_updates(txn_id, plan.updates[self.me])
+            except TransactionAborted as aborted:
+                # Replay of our own logged operation cannot conflict
+                # unless the transaction already committed once.
+                self.store.abort(txn_id)
+                self.locks.release_all(txn_id)
+                yield from self._abandon_redo(txn_id, aborted.reason, inbox)
+                return
+            workers = [n for n in plan.participants if n != self.me]
+            committed, outstanding, _ = yield from self._collect_votes(
+                txn_id, plan, workers, inbox, watch_detector=False
+            )
+            if workers and not committed:
+                self.store.abort(txn_id)
+                self.locks.release_all(txn_id)
+                yield from self._abandon_redo(txn_id, "redo failed", inbox)
+                self.obs.annotate("recovery", self.me, txn=txn_id, action="redo-aborted")
+                return
+            durable = yield from self._commit_redo(txn_id, workers, inbox)
+            yield from self._settle(txn_id, plan, committed, outstanding, durable, inbox)
+            self.obs.annotate("recovery", self.me, txn=txn_id, action="redo-committed")
+        finally:
+            self.server.close_session(txn_id)
+
+    def _abandon_redo(self, txn_id: int, reason: str, inbox: "Store") -> Generator:
+        """Record a failed replay's abort and forget the transaction."""
+        yield from self._log_abort(txn_id, reason, inbox)
+        self._forget(txn_id)
+
+    def _commit_redo(self, txn_id: int, workers: Sequence[str], inbox: "Store") -> Generator:
+        """Commit a replayed transaction (no client waits on it)."""
+        self.locks.release_all(txn_id)
+        return (yield from self._commit_self(txn_id, workers, inbox))

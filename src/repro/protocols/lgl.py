@@ -28,6 +28,12 @@ ACK ->
 GC own backup entry
 ==========  =====================================================
 
+The flow is :class:`~repro.protocols.base.OnePhaseCore`, shared with
+the paper's 1PC; this module states where LGL differs: every durable
+step is a replication to the backup (and "forgetting" a transaction is
+the backup GC), the worker probe is a backup seal, and recovery
+refetches the backup's entries instead of scanning a log.
+
 Recovery replaces the log scan: on reboot a node fetches a snapshot of
 its backup's entries.  A BEGIN without a COMMIT is re-executed from
 the replicated plan (the coordinator's redo); a COMMIT facet is
@@ -55,27 +61,22 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional, Sequence
 
-from repro.fs.operations import OpPlan, UnsupportedOperation
+from repro.fs.operations import OpPlan
 from repro.mds.replica import backup_name
 from repro.net.message import Message
 from repro.protocols.base import (
     MsgKind,
-    Protocol,
+    OnePhaseCore,
     ProtocolSpec,
     Transaction,
     TransactionAborted,
     register_protocol,
 )
-from repro.protocols.registry import CAP_LOGLESS, reject_fanout
+from repro.protocols.registry import CAP_LOGLESS
 
 if TYPE_CHECKING:
-    from repro.fs.objects import ObjectId, Update
     from repro.sim.resources import Store
 
-#: How long a worker waits for the coordinator's ACK before asking for
-#: a retransmission, in units of the protocol reply timeout (mirrors
-#: the 1PC engine).
-ACK_WAIT_FACTOR = 5
 #: How many times a replication / probe / fetch is retransmitted
 #: before the peer backup is declared unreachable.
 REPLICATE_RETRIES = 3
@@ -84,21 +85,14 @@ REPLICATE_RETRIES = 3
 _RECOVERY_SESSION = 0
 
 
-class LoglessOnePhaseProtocol(Protocol):
+class LoglessOnePhaseProtocol(OnePhaseCore):
     """One-phase commit with synchronous replication instead of a WAL."""
 
     name = "LGL"
     #: Like 1PC: one coordinator + one worker.
-    max_workers = 1
-
-    def claims_worker_message(self, msg: Message) -> bool:
-        """LGL marks its UPDATE_REQ with ``vote=True``; a bare
-        UPDATE_REQ or a PREPARE belongs to the 2PC-family fallback."""
-        if msg.kind == MsgKind.UPDATE_REQ and not msg.payload.get("vote"):
-            return False
-        if msg.kind == MsgKind.PREPARE:
-            return False
-        return True
+    max_workers: Optional[int] = 1
+    update_flag = "vote"
+    vote_lost_note = "worker_sealed_mid_commit"
 
     # ------------------------------------------------------------------
     # Replication plumbing
@@ -134,219 +128,101 @@ class LoglessOnePhaseProtocol(Protocol):
                 return msg.kind == MsgKind.REPLICATED
         return None
 
-    def _gc_backup(self, txn_id: int) -> None:
+    def _ask(
+        self, target: str, kind: str, txn_id: int, reply: str, inbox: "Store", **payload: Any
+    ) -> Generator:
+        """Send ``kind`` to a backup until it answers with ``reply``;
+        ``None`` when it never does."""
+        for _attempt in range(REPLICATE_RETRIES):
+            self.send(target, kind, txn_id, **payload)
+            msg = yield from self.recv(
+                inbox, kinds=frozenset({reply}), timeout=self.params.failure.reply_timeout
+            )
+            if msg is not None:
+                return msg
+        return None
+
+    def _replicate_updates(
+        self, txn_id: int, updates: Sequence[Any], inbox: "Store", **data: Any
+    ) -> Generator:
+        """Replicate the commit facet; True once the backup holds it."""
+        descs = [u.describe() for u in updates]
+        ok = yield from self._replicate(txn_id, "commit", {"updates": descs, **data}, inbox)
+        return ok is True
+
+    def _forget(self, txn_id: int) -> None:
         self.send(self.backup, MsgKind.LGL_GC, txn_id)
 
     # ------------------------------------------------------------------
-    # Coordinator
+    # Durability: replication to the backup
     # ------------------------------------------------------------------
 
-    def coordinate(self, txn: Transaction) -> Generator:
-        if self.max_workers is not None and len(txn.workers) > self.max_workers:
-            raise UnsupportedOperation(
-                reject_fanout(self.name, self.max_workers, len(txn.workers))
-            )
-        inbox = self.server.open_session(txn.txn_id)
-        try:
-            # The logless redo record: the plan must survive our crash
-            # before anything else happens.
-            ok = yield from self._replicate(
-                txn.txn_id, "begin", {"plan": txn.plan.describe()}, inbox
-            )
-            if ok is not True:
-                outcome = yield from self._abort(
-                    txn, inbox, "coordinator backup unreachable", replicated=False
-                )
-                return outcome
-            try:
-                outcome = yield from self._coordinate_body(txn, inbox)
-            except TransactionAborted as aborted:
-                outcome = yield from self._abort(txn, inbox, aborted.reason)
-            return outcome
-        finally:
-            self.server.close_session(txn.txn_id)
-
-    def _coordinate_body(self, txn: Transaction, inbox: "Store") -> Generator:
-        plan, txn_id = txn.plan, txn.txn_id
-        yield from self.lock_all(txn_id, plan.locks(self.me))
-        yield from self.apply_updates(txn_id, plan.updates[self.me])
-
-        worker = txn.workers[0] if txn.workers else None
-        if worker is not None:
-            self.send(
-                worker,
-                MsgKind.UPDATE_REQ,
-                txn_id,
-                updates=[u.describe() for u in plan.updates[worker]],
-                op=plan.op,
-                vote=True,
-            )
-            msg = yield from self.recv(
-                inbox,
-                kinds=frozenset({MsgKind.UPDATED, MsgKind.NOT_PREPARED}),
-                timeout=self.params.failure.reply_timeout,
-            )
-            if msg is not None and msg.kind == MsgKind.NOT_PREPARED:
-                raise TransactionAborted(
-                    f"worker {worker} rejected the updates: "
-                    f"{msg.payload.get('reason', 'no reason given')}"
-                )
-            if msg is None:
-                committed = yield from self._probe_worker_backup(txn_id, worker, inbox)
-                if not committed:
-                    raise TransactionAborted(f"worker {worker} crashed before committing")
-
-        # Decision reached: reply and release before our own commit
-        # replication (the replicated BEGIN guarantees re-execution).
-        descs = [u.describe() for u in self.store.updates_of(txn_id)]
-        self.store.commit(txn_id)
-        replied_at = self.reply_to_client(txn, committed=True)
-        self.locks.release_all(txn_id)
+    def _begin(self, txn: Transaction, inbox: "Store") -> Generator:
+        # The logless redo record: the plan must survive our crash
+        # before anything else happens.
         ok = yield from self._replicate(
-            txn_id, "commit", {"updates": descs, "workers": list(txn.workers)}, inbox
+            txn.txn_id, "begin", {"plan": txn.plan.describe()}, inbox
         )
-        if ok is True:
+        return None if ok is True else "coordinator backup unreachable"
+
+    def _vote(self, txn_id: int, coordinator: str, inbox: "Store") -> Generator:
+        return (
+            yield from self._replicate_updates(
+                txn_id, self.store.updates_of(txn_id), inbox, coordinator=coordinator
+            )
+        )
+
+    def _commit_self(self, txn_id: int, workers: Sequence[str], inbox: "Store") -> Generator:
+        ok = yield from self._replicate_updates(
+            txn_id, self.store.pending_updates(txn_id), inbox, workers=list(workers)
+        )
+        if ok:
             self.store.commit_durable(txn_id)
-            self._gc_backup(txn_id)
         else:
             # Begin facet stays at the backup: a crash now still
             # re-executes towards commit, so the reply was safe.
             self.obs.annotate("commit_unreplicated", self.me, txn=txn_id)
-        if worker is not None:
-            self.send(worker, MsgKind.ACK, txn_id)
-        return self.outcome(txn, committed=True, replied_at=replied_at)
+        return ok
 
-    def _probe_worker_backup(self, txn_id: int, worker: str, inbox: "Store") -> Generator:
+    def _commit_redo(self, txn_id: int, workers: Sequence[str], inbox: "Store") -> Generator:
+        ok = yield from self._replicate_updates(
+            txn_id, self.store.updates_of(txn_id), inbox, workers=list(workers)
+        )
+        self.store.commit_durable(txn_id)
+        self.locks.release_all(txn_id)
+        return ok
+
+    def _log_abort(self, txn_id: int, reason: str, inbox: "Store") -> Generator:
+        ok = yield from self._replicate(txn_id, "aborted", True, inbox)
+        if ok is not True:
+            self.obs.annotate("abort_unreplicated", self.me, txn=txn_id)
+
+    def _abandon_redo(self, txn_id: int, reason: str, inbox: "Store") -> Generator:
+        # The replicated BEGIN is simply dropped: nothing else of the
+        # replay reached the backup.
+        self._forget(txn_id)
+        yield from ()
+
+    def _probe(self, txn_id: int, worker: str, inbox: "Store") -> Generator:
         """Seal the transaction at the worker's backup and read its fate.
 
         Sealing first makes the answer final: a commit replication that
         has not landed when the seal does never will.
         """
         self.obs.annotate("probe_start", self.me, txn=txn_id, worker=worker)
-        target = backup_name(worker)
-        for _attempt in range(REPLICATE_RETRIES):
-            self.send(target, MsgKind.LGL_QUERY, txn_id, seal=True)
-            msg = yield from self.recv(
-                inbox,
-                kinds=frozenset({MsgKind.LGL_STATE}),
-                timeout=self.params.failure.reply_timeout,
-            )
-            if msg is not None:
-                return bool(msg.payload.get("has_commit"))
+        msg = yield from self._ask(
+            backup_name(worker), MsgKind.LGL_QUERY, txn_id, MsgKind.LGL_STATE, inbox, seal=True
+        )
+        if msg is not None:
+            return bool(msg.payload.get("has_commit"))
         self.obs.annotate("probe_unreachable", self.me, txn=txn_id, worker=worker)
         return False
 
-    def _abort(
-        self, txn: Transaction, inbox: "Store", reason: str, replicated: bool = True
-    ) -> Generator:
-        """Abort: make the abort durable at the backup *before* the
-        client hears it, so a crash cannot re-execute into a commit."""
-        txn_id = txn.txn_id
-        if replicated:
-            ok = yield from self._replicate(txn_id, "aborted", True, inbox)
-            if ok is not True:
-                self.obs.annotate("abort_unreplicated", self.me, txn=txn_id)
-        self.store.abort(txn_id)
-        self.locks.release_all(txn_id)
-        replied_at = self.reply_to_client(txn, committed=False, reason=reason)
-        self._gc_backup(txn_id)
-        return self.outcome(txn, committed=False, replied_at=replied_at, reason=reason)
-
-    # ------------------------------------------------------------------
-    # Worker
-    # ------------------------------------------------------------------
-
-    def worker_session(self, first: Message, inbox: "Store") -> Generator:
-        txn_id, coordinator = first.txn_id, first.src
-        try:
-            if first.kind != MsgKind.UPDATE_REQ or not first.payload.get("vote"):
-                self.send(coordinator, MsgKind.NOT_PREPARED, txn_id)
-                return None
-            # A duplicate request must see the refetched backup state,
-            # not the empty post-reboot image: wait out our recovery.
-            while self.server.recovering:
-                yield self.sim.timeout(self.params.failure.reply_timeout / 20.0)
-            if self.store.has_applied(txn_id):
-                # Duplicate request (coordinator re-executed after a
-                # crash): we already committed — just re-acknowledge.
-                self.send(coordinator, MsgKind.UPDATED, txn_id, ok=True)
-                yield from self._await_ack_and_finalize(txn_id, coordinator, inbox)
-                return None
-
-            updates = self.decode_updates(first.payload)
-            try:
-                if self.server.fail_next_vote:
-                    self.server.fail_next_vote = False
-                    raise TransactionAborted("injected vote failure")
-                yield from self.lock_all(txn_id, self._lock_targets(updates))
-                yield from self.apply_updates(txn_id, updates)
-            except TransactionAborted as aborted:
-                self.store.abort(txn_id)
-                self.locks.release_all(txn_id)
-                self.send(coordinator, MsgKind.NOT_PREPARED, txn_id, reason=aborted.reason)
-                return None
-            # The logless vote: the commit replicated to our backup.
-            ok = yield from self._replicate(
-                txn_id,
-                "commit",
-                {
-                    "updates": [u.describe() for u in self.store.updates_of(txn_id)],
-                    "coordinator": coordinator,
-                },
-                inbox,
-            )
-            if ok is not True:
-                # Sealed (the coordinator gave up on us) or backup
-                # unreachable: the commit never became durable, so the
-                # coordinator reads "no commit facet" and aborts.  Drop
-                # everything locally.
-                self.store.abort(txn_id)
-                self.locks.release_all(txn_id)
-                self.obs.annotate("worker_sealed_mid_commit", self.me, txn=txn_id)
-                return None
-            self.store.commit_durable(txn_id)
-            self.locks.release_all(txn_id)
-            self.send(coordinator, MsgKind.UPDATED, txn_id, ok=True)
-            yield from self._await_ack_and_finalize(txn_id, coordinator, inbox)
-            return None
-        finally:
-            self.server.close_session(txn_id)
-
-    @staticmethod
-    def _lock_targets(updates: Sequence[Update]) -> list[ObjectId]:
-        seen: dict = {}
-        for update in updates:
-            seen.setdefault(update.target())
-        return list(seen)
-
-    def _await_ack_and_finalize(
-        self, txn_id: int, coordinator: str, inbox: "Store"
-    ) -> Generator:
-        """Wait for the coordinator's ACK, then drop the backup entry.
-
-        A duplicate vote-carrying UPDATE_REQ in the meantime means the
-        coordinator crashed and is re-executing from its replicated
-        BEGIN: re-acknowledge with UPDATED (we already committed).
-        """
-        asked = False
-        while True:
-            msg = yield from self.recv(
-                inbox,
-                kinds=frozenset({MsgKind.ACK, MsgKind.UPDATE_REQ}),
-                timeout=self.params.failure.reply_timeout * ACK_WAIT_FACTOR,
-            )
-            if msg is None:
-                if asked:
-                    self.obs.annotate("worker_unfinalized", self.me, txn=txn_id)
-                    return
-                self.send(coordinator, MsgKind.ACK_REQ, txn_id)
-                asked = True
-                continue
-            if msg.kind == MsgKind.UPDATE_REQ:
-                self.send(msg.src, MsgKind.UPDATED, txn_id, ok=True)
-                continue
-            break
-        self._gc_backup(txn_id)
+    def _await_restart(self) -> Generator:
+        # A duplicate request must see the refetched backup state, not
+        # the empty post-reboot image: wait out our recovery.
+        while self.server.recovering:
+            yield self.sim.timeout(self.params.failure.reply_timeout / 20.0)
 
     # ------------------------------------------------------------------
     # Local (single-MDS) transactions — still logless
@@ -360,32 +236,23 @@ class LoglessOnePhaseProtocol(Protocol):
                 yield from self.lock_all(txn_id, plan.locks(self.me))
                 yield from self.apply_updates(txn_id, plan.updates[self.me])
             except TransactionAborted as aborted:
-                self.store.abort(txn_id)
-                self.locks.release_all(txn_id)
-                replied_at = self.reply_to_client(txn, committed=False, reason=aborted.reason)
-                return self.outcome(
-                    txn, committed=False, replied_at=replied_at, reason=aborted.reason
-                )
-            ok = yield from self._replicate(
-                txn_id,
-                "commit",
-                {
-                    "updates": [u.describe() for u in self.store.updates_of(txn_id)],
-                    "local": True,
-                },
-                inbox,
-            )
-            if ok is not True:
+                reason = aborted.reason
+            else:
+                if (
+                    yield from self._replicate_updates(
+                        txn_id, self.store.updates_of(txn_id), inbox, local=True
+                    )
+                ):
+                    self.store.commit_durable(txn_id)
+                    self.locks.release_all(txn_id)
+                    replied_at = self.reply_to_client(txn, committed=True)
+                    self._forget(txn_id)
+                    return self.outcome(txn, committed=True, replied_at=replied_at)
                 reason = "backup unreachable"
-                self.store.abort(txn_id)
-                self.locks.release_all(txn_id)
-                replied_at = self.reply_to_client(txn, committed=False, reason=reason)
-                return self.outcome(txn, committed=False, replied_at=replied_at, reason=reason)
-            self.store.commit_durable(txn_id)
+            self.store.abort(txn_id)
             self.locks.release_all(txn_id)
-            replied_at = self.reply_to_client(txn, committed=True)
-            self._gc_backup(txn_id)
-            return self.outcome(txn, committed=True, replied_at=replied_at)
+            replied_at = self.reply_to_client(txn, committed=False, reason=reason)
+            return self.outcome(txn, committed=False, replied_at=replied_at, reason=reason)
         finally:
             self.server.close_session(txn_id)
 
@@ -395,154 +262,46 @@ class LoglessOnePhaseProtocol(Protocol):
 
     def recover(self) -> Generator:
         inbox = self.server.open_session(_RECOVERY_SESSION)
-        entries = None
         try:
-            for _attempt in range(REPLICATE_RETRIES):
-                self.send(self.backup, MsgKind.LGL_FETCH, _RECOVERY_SESSION)
-                msg = yield from self.recv(
-                    inbox,
-                    kinds=frozenset({MsgKind.LGL_SNAPSHOT}),
-                    timeout=self.params.failure.reply_timeout,
-                )
-                if msg is not None:
-                    entries = msg.payload["entries"]
-                    break
+            msg = yield from self._ask(
+                self.backup, MsgKind.LGL_FETCH, _RECOVERY_SESSION, MsgKind.LGL_SNAPSHOT, inbox
+            )
         finally:
             self.server.close_session(_RECOVERY_SESSION)
-        if entries is None:
+        if msg is None:
             self.obs.annotate("recovery", self.me, action="backup-unreachable")
             return
+        entries = msg.payload["entries"]
         for txn_id in sorted(entries):
             yield from self._recover_entry(txn_id, entries[txn_id])
 
     def _recover_entry(self, txn_id: int, entry: dict) -> Generator:
         if "aborted" in entry:
-            self._gc_backup(txn_id)
+            self._forget(txn_id)
             self.obs.annotate("recovery", self.me, txn=txn_id, action="aborted")
             return
         commit = entry.get("commit")
         if commit is None:
             # BEGIN without a commit: the coordinator's redo.
-            plan = self._plan_from_begin(entry)
-            if plan is None:
+            begin = entry.get("begin")
+            if not isinstance(begin, dict) or "plan" not in begin:
                 self.obs.annotate("recovery", self.me, txn=txn_id, action="begin-unreadable")
-                self._gc_backup(txn_id)
+                self._forget(txn_id)
                 return
-            yield from self._re_execute(txn_id, plan)
+            yield from self._re_execute(txn_id, OpPlan.from_description(begin["plan"]))
             return
-        if not self.store.has_applied(txn_id):
-            yield from self._reapply(txn_id, commit.get("updates", []))
-            self.store.commit_durable(txn_id)
+        yield from self._restore_committed(txn_id, commit.get("updates", []))
         if commit.get("local"):
-            self._gc_backup(txn_id)
+            self._forget(txn_id)
             self.obs.annotate("recovery", self.me, txn=txn_id, action="local-committed")
         elif "coordinator" in commit:
-            yield from self._worker_reclaim_ack(txn_id, commit["coordinator"])
+            yield from self._reclaim_ack(txn_id, commit["coordinator"])
         else:
             # We coordinated: make sure the worker hears the ACK.
             for worker in commit.get("workers", []):
                 self.send(worker, MsgKind.ACK, txn_id)
-            self._gc_backup(txn_id)
+            self._forget(txn_id)
             self.obs.annotate("recovery", self.me, txn=txn_id, action="resend-ack")
-
-    def _worker_reclaim_ack(self, txn_id: int, coordinator: str) -> Generator:
-        """Recovered worker: ask the coordinator to resend the ACK."""
-        inbox = self.server.open_session(txn_id)
-        try:
-            self.send(coordinator, MsgKind.ACK_REQ, txn_id)
-            msg = yield from self.recv(
-                inbox,
-                kinds=frozenset({MsgKind.ACK}),
-                timeout=self.params.failure.reply_timeout * ACK_WAIT_FACTOR,
-            )
-            if msg is not None:
-                self._gc_backup(txn_id)
-            self.obs.annotate("recovery", self.me, txn=txn_id, action="ack-requested")
-        finally:
-            self.server.close_session(txn_id)
-
-    def _re_execute(self, txn_id: int, plan: OpPlan) -> Generator:
-        """Replicated-BEGIN replay: run the transaction again end to end.
-
-        No client is waiting (the reply died with the crash); the
-        operation still commits eventually, exactly like 1PC's redo.
-        """
-        self.obs.annotate("recovery", self.me, txn=txn_id, action="redo")
-        inbox = self.server.open_session(txn_id)
-        try:
-            try:
-                yield from self.lock_all(txn_id, plan.locks(self.me))
-                yield from self.apply_updates(txn_id, plan.updates[self.me])
-            except TransactionAborted:
-                self.store.abort(txn_id)
-                self.locks.release_all(txn_id)
-                self._gc_backup(txn_id)
-                return
-            workers = [n for n in plan.participants if n != self.me]
-            if workers:
-                worker = workers[0]
-                self.send(
-                    worker,
-                    MsgKind.UPDATE_REQ,
-                    txn_id,
-                    updates=[u.describe() for u in plan.updates[worker]],
-                    op=plan.op,
-                    vote=True,
-                )
-                msg = yield from self.recv(
-                    inbox,
-                    kinds=frozenset({MsgKind.UPDATED, MsgKind.NOT_PREPARED}),
-                    timeout=self.params.failure.reply_timeout,
-                )
-                committed = msg is not None and msg.kind == MsgKind.UPDATED
-                if msg is None:
-                    committed = yield from self._probe_worker_backup(txn_id, worker, inbox)
-                if not committed:
-                    self.store.abort(txn_id)
-                    self.locks.release_all(txn_id)
-                    self._gc_backup(txn_id)
-                    self.obs.annotate("recovery", self.me, txn=txn_id, action="redo-aborted")
-                    return
-            descs = [u.describe() for u in self.store.updates_of(txn_id)]
-            ok = yield from self._replicate(
-                txn_id, "commit", {"updates": descs, "workers": workers}, inbox
-            )
-            self.store.commit_durable(txn_id)
-            self.locks.release_all(txn_id)
-            for worker in workers:
-                self.send(worker, MsgKind.ACK, txn_id)
-            if ok is True:
-                self._gc_backup(txn_id)
-            self.obs.annotate("recovery", self.me, txn=txn_id, action="redo-committed")
-        finally:
-            self.server.close_session(txn_id)
-
-    def _reapply(self, txn_id: int, descs: Sequence[dict]) -> Generator:
-        """Re-install replicated updates into the cache."""
-        from repro.fs.objects import update_from_description
-
-        for desc in descs:
-            yield self.sim.timeout(self.params.compute.write_latency)
-            self.store.apply(txn_id, update_from_description(desc))
-
-    def _plan_from_begin(self, entry: dict) -> Optional[OpPlan]:
-        from repro.fs.objects import update_from_description
-
-        begin = entry.get("begin")
-        if not isinstance(begin, dict) or "plan" not in begin:
-            return None
-        desc = begin["plan"]
-        updates = {
-            node: [update_from_description(d) for d in descs]
-            for node, descs in desc["updates"].items()
-        }
-        return OpPlan(
-            op=desc["op"],
-            path=desc["path"],
-            updates=updates,
-            coordinator=desc["coordinator"],
-            detail=dict(desc.get("detail", {})),
-        )
 
     # ------------------------------------------------------------------
     # Stray messages
@@ -557,12 +316,7 @@ class LoglessOnePhaseProtocol(Protocol):
         if msg.kind == MsgKind.ACK:
             # Late ACK for a worker whose session is gone: release the
             # backup entry it was waiting to drop.
-            def gc() -> Generator:
-                self._gc_backup(msg.txn_id)
-                return None
-                yield  # pragma: no cover - generator marker
-
-            return gc()
+            return self._stray(lambda: self._forget(msg.txn_id))
         if msg.kind in (
             MsgKind.REPLICATED,
             MsgKind.REPLICATE_REJECTED,
@@ -571,18 +325,9 @@ class LoglessOnePhaseProtocol(Protocol):
         ):
             # Stale replication traffic for a closed session.
             return None
-        if msg.kind == MsgKind.UPDATE_REQ and msg.payload.get("vote"):
-            if self.store.has_applied(msg.txn_id):
-                return self._stray_updated(msg)
+        if self._speaks(msg) and self._already_committed(msg.txn_id):
+            return self._stray_reply(msg, MsgKind.UPDATED, ok=True)
         return super().handle_stray(msg)
-
-    def _stray_updated(self, msg: Message) -> Generator:
-        def re_ack() -> Generator:
-            self.send(msg.src, MsgKind.UPDATED, msg.txn_id, ok=True)
-            return None
-            yield  # pragma: no cover - generator marker
-
-        return re_ack()
 
     def presumed_decision(self) -> str:
         # An absent entry means the transaction ran to completion; the

@@ -56,8 +56,7 @@ class PresumedAbortProtocol(PresumeNothingProtocol):
         failed re-vote): the coordinator just drops the transaction and
         the presumption answers any later decision query.
         """
-        return
-        yield  # pragma: no cover - generator marker
+        yield from ()
 
     def _abort(self, txn: Transaction, inbox: "Store", reason: str) -> Generator:
         """Presumed abort: drop state, tell whoever is listening, move on.
@@ -65,6 +64,7 @@ class PresumedAbortProtocol(PresumeNothingProtocol):
         No forced ABORTED record and no ACK collection — a recovering
         worker that asks later is answered by the presumption.
         """
+        yield from ()
         txn_id = txn.txn_id
         self.store.abort(txn_id)
         self.locks.release_all(txn_id)
@@ -74,15 +74,13 @@ class PresumedAbortProtocol(PresumeNothingProtocol):
         # Forget the transaction entirely: presumption covers it.
         self.wal.checkpoint(txn_id)
         return self.outcome(txn, committed=False, replied_at=replied_at, reason=reason)
-        yield  # pragma: no cover - generator marker
 
     def _worker_abort(self, txn_id: int, coordinator: str, ack: bool) -> Generator:
         """Worker-side presumed abort: discard state, nothing forced."""
+        yield from ()
         self.store.abort(txn_id)
         self.locks.release_all(txn_id)
         self.wal.checkpoint(txn_id)
-        return
-        yield  # pragma: no cover - generator marker
 
     def _recover_coordinator(
         self,

@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 
-from repro.fs.objects import ObjectId, Update
-
 from repro.net.message import Message
 from repro.protocols.base import (
     MsgKind,
@@ -78,41 +76,17 @@ class PresumeNothingProtocol(Protocol):
     # Coordinator
     # ------------------------------------------------------------------
 
-    def coordinate(self, txn: Transaction) -> Generator:
-        inbox = self.server.open_session(txn.txn_id)
-        try:
-            yield from self.wal.force(
-                self.state_rec(
-                    RecordKind.STARTED, txn.txn_id, op=txn.plan.op, workers=txn.workers
-                )
-            )
-            try:
-                outcome = yield from self._coordinate_body(txn, inbox)
-            except TransactionAborted as aborted:
-                outcome = yield from self._abort(txn, inbox, aborted.reason)
-            return outcome
-        finally:
-            self.server.close_session(txn.txn_id)
+    def _begin(self, txn: Transaction, inbox: "Store") -> Generator:
+        yield from self.wal.force(
+            self.state_rec(RecordKind.STARTED, txn.txn_id, op=txn.plan.op, workers=txn.workers)
+        )
 
     def _coordinate_body(self, txn: Transaction, inbox: "Store") -> Generator:
         plan, txn_id = txn.plan, txn.txn_id
         # Growing phase of 2PL, then the local cache updates.
         yield from self.lock_all(txn_id, plan.locks(self.me))
         yield from self.apply_updates(txn_id, plan.updates[self.me])
-
-        # Execution round: ship each worker its updates.
-        yield from self._execution_round(txn, inbox)
-
-        # Voting phase: ask the workers to prepare; prepare ourselves
-        # concurrently ("the coordinator itself ... also starts
-        # preparing").
-        own_prepare = self._start_own_prepare(txn_id)
-        try:
-            yield from self._voting_round(txn.workers, txn_id, inbox)
-        except TransactionAborted:
-            yield from self._await_own_prepare(own_prepare)
-            raise
-        yield from self._await_own_prepare(own_prepare)
+        yield from self._vote_phase(txn, inbox)
 
         # Commit phase.
         yield from self.wal.force(self.state_rec(RecordKind.COMMITTED, txn_id))
@@ -127,59 +101,30 @@ class PresumeNothingProtocol(Protocol):
         if self.ack_required:
             yield from self._collect_acks(txn.workers, txn_id, inbox)
         if self.coordinator_writes_ended:
-            flush = self.wal.append_lazy(self.state_rec(RecordKind.ENDED, txn_id))
-            flush.callbacks.append(
-                lambda ev, t=txn_id: self.wal.checkpoint(t) if ev.ok else None
-            )
+            self._end_lazily(txn_id)
         if replied_at is None:
             replied_at = self.reply_to_client(txn, committed=True)
         self.wal.checkpoint(txn_id)
         return self.outcome(txn, committed=True, replied_at=replied_at)
 
-    def _execution_round(self, txn: Transaction, inbox: "Store") -> Generator:
-        """UPDATE_REQ / UPDATED exchange with every worker."""
+    def _vote_phase(self, txn: Transaction, inbox: "Store") -> Generator:
+        """Execution round (UPDATE_REQ / UPDATED), then the voting round.
+
+        The coordinator prepares concurrently with its workers ("the
+        coordinator itself ... also starts preparing").
+        """
         for worker in txn.workers:
-            self.send(
-                worker,
-                MsgKind.UPDATE_REQ,
-                txn.txn_id,
-                updates=[u.describe() for u in txn.plan.updates[worker]],
-                op=txn.plan.op,
-            )
-        pending = set(txn.workers)
-        while pending:
-            msg = yield from self.recv(
-                inbox,
-                kinds=frozenset({MsgKind.UPDATED, MsgKind.NOT_PREPARED}),
-                timeout=self.params.failure.reply_timeout,
-            )
-            if msg is None:
-                raise TransactionAborted(f"timeout waiting for UPDATED from {sorted(pending)}")
-            if msg.kind == MsgKind.NOT_PREPARED or not msg.payload.get("ok", True):
-                raise TransactionAborted(
-                    f"worker {msg.src} rejected the updates: "
-                    f"{msg.payload.get('reason', 'no reason given')}"
-                )
-            pending.discard(msg.src)
+            self._send_update_req(worker, txn.txn_id, txn.plan)
+        yield from self._gather_replies(inbox, txn.workers, MsgKind.UPDATED)
+        own_prepare = self._start_own_prepare(txn.txn_id)
+        yield from self._await_votes(
+            own_prepare, self._voting_round(txn.workers, txn.txn_id, inbox)
+        )
 
     def _voting_round(self, workers: Sequence[str], txn_id: int, inbox: "Store") -> Generator:
         for worker in workers:
             self.send(worker, MsgKind.PREPARE, txn_id)
-        pending = set(workers)
-        while pending:
-            msg = yield from self.recv(
-                inbox,
-                kinds=frozenset({MsgKind.PREPARED, MsgKind.NOT_PREPARED}),
-                timeout=self.params.failure.reply_timeout,
-            )
-            if msg is None:
-                raise TransactionAborted(f"timeout waiting for votes from {sorted(pending)}")
-            if msg.kind == MsgKind.NOT_PREPARED:
-                raise TransactionAborted(
-                f"worker {msg.src} voted NOT-PREPARED: "
-                f"{msg.payload.get('reason', 'no reason given')}"
-            )
-            pending.discard(msg.src)
+        yield from self._gather_replies(inbox, workers, MsgKind.PREPARED)
 
     def _start_own_prepare(self, txn_id: int) -> "Process":
         """Fork the coordinator's own prepare (force updates + PREPARED)."""
@@ -192,6 +137,15 @@ class PresumeNothingProtocol(Protocol):
 
         # Tracked by the server so a crash kills it with everything else.
         return self.server.spawn(prepare(), name=f"{self.me}:prepare:{txn_id}")
+
+    def _await_votes(self, own_prepare: "Process", votes: Generator) -> Generator:
+        """Run the ``votes`` round, then wait for our own prepare too."""
+        try:
+            yield from votes
+        except TransactionAborted:
+            yield from self._await_own_prepare(own_prepare)
+            raise
+        yield from self._await_own_prepare(own_prepare)
 
     def _await_own_prepare(self, prepare_proc: "Process") -> Generator:
         try:
@@ -227,6 +181,11 @@ class PresumeNothingProtocol(Protocol):
         )
         return False
 
+    def _end_lazily(self, txn_id: int) -> None:
+        """Append ENDED lazily; checkpoint once it is durable."""
+        flush = self.wal.append_lazy(self.state_rec(RecordKind.ENDED, txn_id))
+        flush.callbacks.append(lambda ev, t=txn_id: self.wal.checkpoint(t) if ev.ok else None)
+
     def _force_abort_record(self, txn_id: int, reason: str) -> Generator:
         """Make the abort decision durable before announcing it.
 
@@ -253,10 +212,7 @@ class PresumeNothingProtocol(Protocol):
             # presumed commit, a missing log entry means COMMIT, so the
             # ABORTED record must survive until every prepared worker
             # has heard the decision.
-            flush = self.wal.append_lazy(self.state_rec(RecordKind.ENDED, txn_id))
-            flush.callbacks.append(
-                lambda ev, t=txn_id: self.wal.checkpoint(t) if ev.ok else None
-            )
+            self._end_lazily(txn_id)
             self.wal.checkpoint(txn_id)
         return self.outcome(txn, committed=False, replied_at=replied_at, reason=reason)
 
@@ -269,23 +225,14 @@ class PresumeNothingProtocol(Protocol):
         txn_id = first.txn_id
         coordinator = first.src
         try:
-            if first.kind != MsgKind.UPDATE_REQ:
+            if not self._speaks(first):
                 # A PREPARE with no prior session: we lost the updates
                 # (e.g. rebooted); vote no (§II-C "no entry in the log").
                 self.send(coordinator, MsgKind.NOT_PREPARED, txn_id)
                 return None
-            ok = yield from self._worker_execute(first)
-            if not ok:
+            if not (yield from self._worker_execute(first)):
                 return None
-
-            # Wait for the voting phase.
-            msg = yield from self.recv(
-                inbox,
-                kinds=frozenset({MsgKind.PREPARE, MsgKind.ABORT}),
-                timeout=self.params.failure.reply_timeout * (ACK_RETRIES + 1),
-            )
-            if msg is None or msg.kind == MsgKind.ABORT:
-                yield from self._worker_abort(txn_id, coordinator, ack=msg is not None)
+            if not (yield from self._await_prepare(txn_id, coordinator, inbox)):
                 return None
             yield from self._worker_prepare(txn_id, coordinator)
             self._announce_vote(txn_id, coordinator)
@@ -298,9 +245,7 @@ class PresumeNothingProtocol(Protocol):
             if msg.kind == MsgKind.ABORT:
                 yield from self._worker_abort(txn_id, coordinator, ack=True)
                 return None
-            yield from self._worker_commit(txn_id)
-            if self.ack_required:
-                self.send(coordinator, MsgKind.ACK, txn_id)
+            yield from self._worker_commit(txn_id, coordinator)
             if self.worker_commit_is_forced:
                 # With a lazy commit record the log must keep the
                 # PREPARED records until COMMITTED is durable; the
@@ -310,56 +255,51 @@ class PresumeNothingProtocol(Protocol):
         finally:
             self.server.close_session(txn_id)
 
+    def _await_prepare(self, txn_id: int, coordinator: str, inbox: "Store") -> Generator:
+        """Answer UPDATED and wait for the voting phase.
+
+        Returns whether to prepare; an ABORT (or silence) instead rolls
+        the worker back.
+        """
+        self.send(coordinator, MsgKind.UPDATED, txn_id, ok=True)
+        msg = yield from self.recv(
+            inbox,
+            kinds=frozenset({MsgKind.PREPARE, MsgKind.ABORT}),
+            timeout=self.params.failure.reply_timeout * (ACK_RETRIES + 1),
+        )
+        if msg is None or msg.kind == MsgKind.ABORT:
+            yield from self._worker_abort(txn_id, coordinator, ack=msg is not None)
+            return False
+        return True
+
     def _await_decision(self, txn_id: int, coordinator: str, inbox: "Store") -> Generator:
-        """Wait for COMMIT/ABORT; when it doesn't come, keep asking.
+        """Wait for COMMIT/ABORT; when it doesn't come, keep asking."""
+        msg = yield from self.recv(
+            inbox,
+            kinds=frozenset({MsgKind.COMMIT, MsgKind.ABORT}),
+            timeout=self.params.failure.reply_timeout * (ACK_RETRIES + 1),
+        )
+        if msg is not None:
+            return msg
+        return (yield from self._query_decision(txn_id, coordinator, inbox))
+
+    def _query_decision(self, txn_id: int, coordinator: str, inbox: "Store") -> Generator:
+        """Ask the coordinator for the decision until it answers.
 
         A prepared 2PC worker is *blocked*: it cannot decide
         unilaterally and must query the coordinator until it learns the
         outcome — across partitions and coordinator reboots.
         """
-        interval = self.params.failure.reply_timeout * (ACK_RETRIES + 1)
-        msg = yield from self.recv(
-            inbox,
-            kinds=frozenset({MsgKind.COMMIT, MsgKind.ABORT}),
-            timeout=interval,
-        )
-        if msg is not None:
-            return msg
         for _attempt in range(DECISION_RETRIES):
             self.send(coordinator, MsgKind.DECISION_REQ, txn_id)
             msg = yield from self.recv(
                 inbox,
                 kinds=frozenset({MsgKind.COMMIT, MsgKind.ABORT}),
-                timeout=interval,
+                timeout=self.params.failure.reply_timeout * (ACK_RETRIES + 1),
             )
             if msg is not None:
                 return msg
         return None
-
-    def _worker_execute(self, first: Message) -> Generator:
-        """Lock and apply the shipped updates; UPDATED / NOT_PREPARED."""
-        txn_id, coordinator = first.txn_id, first.src
-        updates = self.decode_updates(first.payload)
-        try:
-            if self.server.fail_next_vote:
-                self.server.fail_next_vote = False
-                raise TransactionAborted("injected vote failure")
-            yield from self.lock_all(txn_id, self._lock_targets(updates))
-            yield from self.apply_updates(txn_id, updates)
-        except TransactionAborted as aborted:
-            self.store.abort(txn_id)
-            self.locks.release_all(txn_id)
-            self.send(coordinator, MsgKind.NOT_PREPARED, txn_id, reason=aborted.reason)
-            return False
-        self.send(coordinator, MsgKind.UPDATED, txn_id, ok=True)
-        return True
-
-    @staticmethod
-    def _lock_targets(updates: Sequence[Update]) -> list[ObjectId]:
-        seen: dict = {}
-        for update in updates:
-            seen.setdefault(update.target())
-        return list(seen)
 
     def _worker_prepare(self, txn_id: int, coordinator: str) -> Generator:
         yield from self.wal.force(
@@ -375,8 +315,9 @@ class PresumeNothingProtocol(Protocol):
         """
         self.send(coordinator, MsgKind.PREPARED, txn_id)
 
-    def _worker_commit(self, txn_id: int) -> Generator:
-        """Write the worker's COMMITTED record, apply and release."""
+    def _worker_commit(self, txn_id: int, coordinator: str) -> Generator:
+        """Write the worker's COMMITTED record, apply, release and
+        acknowledge."""
         if self.worker_commit_is_forced:
             yield from self.wal.force(self.state_rec(RecordKind.COMMITTED, txn_id))
             self.store.commit_durable(txn_id)
@@ -389,6 +330,8 @@ class PresumeNothingProtocol(Protocol):
             flush = self.wal.append_lazy(self.state_rec(RecordKind.COMMITTED, txn_id))
             flush.callbacks.append(self._harden_and_gc(txn_id))
         self.locks.release_all(txn_id)
+        if self.ack_required:
+            self.send(coordinator, MsgKind.ACK, txn_id)
 
     def _harden_and_gc(self, txn_id: int) -> Callable[["Event"], None]:
         def on_flush(event: "Event") -> None:
@@ -410,24 +353,6 @@ class PresumeNothingProtocol(Protocol):
     # Recovery (§II-C)
     # ------------------------------------------------------------------
 
-    def recover(self) -> Generator:
-        """Reboot-time log scan; §II-C enumerates the cases."""
-        for txn_id in self.wal.open_transactions():
-            records = self.wal.records_for(txn_id)
-            if not self.owns_txn(records):
-                continue
-            state = self.wal.last_state(txn_id)
-            if any(r.kind == RecordKind.STARTED for r in records):
-                yield from self._recover_coordinator(txn_id, state, records)
-            else:
-                yield from self._recover_worker(txn_id, state, records)
-
-    def _workers_from(self, records: Sequence[LogRecord]) -> list[str]:
-        for record in records:
-            if record.kind == RecordKind.STARTED:
-                return list(record.payload.get("workers", []))
-        return []
-
     def _recover_coordinator(
         self,
         txn_id: int,
@@ -440,35 +365,19 @@ class PresumeNothingProtocol(Protocol):
             if state == RecordKind.STARTED:
                 # Crashed before preparing: updates lost -> abort.
                 yield from self._force_abort_record(txn_id, "coordinator crash")
-                for worker in workers:
-                    self.send(worker, MsgKind.ABORT, txn_id)
-                acked = True
-                if self.abort_ack_required and workers:
-                    acked = yield from self._collect_acks(
-                        workers, txn_id, inbox, kind=MsgKind.ABORT
-                    )
-                if acked:
-                    self.wal.checkpoint(txn_id)
+                yield from self._resend_abort(workers, txn_id, inbox)
                 self.obs.annotate("recovery", self.me, txn=txn_id, action="abort")
             elif state == RecordKind.PREPARED:
                 # "The coordinator resubmits the PREPARE request to the
                 # worker and continues with the normal protocol
                 # execution."
-                yield from self._reapply_logged_updates(txn_id, records)
+                yield from self._reapply(txn_id, self._logged_updates(records))
                 try:
                     yield from self._voting_round(workers, txn_id, inbox)
                 except TransactionAborted as aborted:
                     yield from self._force_abort_record(txn_id, aborted.reason)
                     self.store.abort(txn_id)
-                    for worker in workers:
-                        self.send(worker, MsgKind.ABORT, txn_id)
-                    acked = True
-                    if self.abort_ack_required and workers:
-                        acked = yield from self._collect_acks(
-                            workers, txn_id, inbox, kind=MsgKind.ABORT
-                        )
-                    if acked:
-                        self.wal.checkpoint(txn_id)
+                    yield from self._resend_abort(workers, txn_id, inbox)
                     self.obs.annotate("recovery", self.me, txn=txn_id, action="abort-after-vote")
                     return
                 yield from self.wal.force(self.state_rec(RecordKind.COMMITTED, txn_id))
@@ -477,24 +386,21 @@ class PresumeNothingProtocol(Protocol):
                 self.obs.annotate("recovery", self.me, txn=txn_id, action="resume-commit")
             elif state == RecordKind.COMMITTED:
                 # "The coordinator resends the COMMIT request."
-                if not self.store.has_applied(txn_id):
-                    yield from self._reapply_logged_updates(txn_id, records)
-                    self.store.commit_durable(txn_id)
+                yield from self._restore_committed(txn_id, self._logged_updates(records))
                 yield from self._finish_commit(workers, txn_id, inbox)
                 self.obs.annotate("recovery", self.me, txn=txn_id, action="resend-commit")
             elif state == RecordKind.ABORTED:
-                for worker in workers:
-                    self.send(worker, MsgKind.ABORT, txn_id)
-                acked = True
-                if self.abort_ack_required and workers:
-                    acked = yield from self._collect_acks(
-                        workers, txn_id, inbox, kind=MsgKind.ABORT
-                    )
-                if acked:
-                    self.wal.checkpoint(txn_id)
+                yield from self._resend_abort(workers, txn_id, inbox)
                 self.obs.annotate("recovery", self.me, txn=txn_id, action="resend-abort")
         finally:
             self.server.close_session(txn_id)
+
+    @staticmethod
+    def _workers_from(records: Sequence[LogRecord]) -> list[str]:
+        for record in records:
+            if record.kind == RecordKind.STARTED:
+                return list(record.payload.get("workers", []))
+        return []
 
     def _finish_commit(self, workers: Sequence[str], txn_id: int, inbox: "Store") -> Generator:
         for worker in workers:
@@ -502,11 +408,18 @@ class PresumeNothingProtocol(Protocol):
         if self.ack_required and workers:
             yield from self._collect_acks(workers, txn_id, inbox)
         if self.coordinator_writes_ended:
-            flush = self.wal.append_lazy(self.state_rec(RecordKind.ENDED, txn_id))
-            flush.callbacks.append(
-                lambda ev, t=txn_id: self.wal.checkpoint(t) if ev.ok else None
-            )
+            self._end_lazily(txn_id)
         self.wal.checkpoint(txn_id)
+
+    def _resend_abort(self, workers: Sequence[str], txn_id: int, inbox: "Store") -> Generator:
+        """Announce a durable abort; forget it once acknowledged."""
+        for worker in workers:
+            self.send(worker, MsgKind.ABORT, txn_id)
+        acked = True
+        if self.abort_ack_required and workers:
+            acked = yield from self._collect_acks(workers, txn_id, inbox, kind=MsgKind.ABORT)
+        if acked:
+            self.wal.checkpoint(txn_id)
 
     def _recover_worker(
         self,
@@ -516,31 +429,19 @@ class PresumeNothingProtocol(Protocol):
     ) -> Generator:
         if state == RecordKind.PREPARED:
             # "The worker asks the coordinator to resend the decision."
-            yield from self._reapply_logged_updates(txn_id, records)
+            yield from self._reapply(txn_id, self._logged_updates(records))
             coordinator = self._coordinator_from(records)
             inbox = self.server.open_session(txn_id)
             try:
                 if coordinator is None:
                     self.obs.annotate("recovery", self.me, txn=txn_id, action="no-coordinator")
                     return
-                msg = None
-                interval = self.params.failure.reply_timeout * (ACK_RETRIES + 1)
-                for _attempt in range(DECISION_RETRIES):
-                    self.send(coordinator, MsgKind.DECISION_REQ, txn_id)
-                    msg = yield from self.recv(
-                        inbox,
-                        kinds=frozenset({MsgKind.COMMIT, MsgKind.ABORT}),
-                        timeout=interval,
-                    )
-                    if msg is not None:
-                        break
+                msg = yield from self._query_decision(txn_id, coordinator, inbox)
                 if msg is None:
                     self.obs.annotate("recovery", self.me, txn=txn_id, action="still-blocked")
                     return
                 if msg.kind == MsgKind.COMMIT:
-                    yield from self._worker_commit(txn_id)
-                    if self.ack_required:
-                        self.send(coordinator, MsgKind.ACK, txn_id)
+                    yield from self._worker_commit(txn_id, coordinator)
                 else:
                     yield from self._worker_abort(txn_id, coordinator, ack=True)
                 self.wal.checkpoint(txn_id)
@@ -552,55 +453,41 @@ class PresumeNothingProtocol(Protocol):
             # decision.  The worker takes no action."  (We still fold
             # the logged updates into the committed image when the
             # crash hit between the log force and the fold.)
-            if not self.store.has_applied(txn_id):
-                yield from self._reapply_logged_updates(txn_id, records)
-                self.store.commit_durable(txn_id)
+            yield from self._restore_committed(txn_id, self._logged_updates(records))
             self.wal.checkpoint(txn_id)
             self.obs.annotate("recovery", self.me, txn=txn_id, action="worker-done")
         elif state == RecordKind.ABORTED:
             self.wal.checkpoint(txn_id)
-
-    def _reapply_logged_updates(self, txn_id: int, records: Sequence[LogRecord]) -> Generator:
-        """Re-install a transaction's logged updates into the cache."""
-        from repro.fs.objects import update_from_description
-
-        for record in records:
-            if record.kind == RecordKind.UPDATES:
-                for desc in record.payload.get("updates", []):
-                    yield self.sim.timeout(self.params.compute.write_latency)
-                    self.store.apply(txn_id, update_from_description(desc))
-
-    @staticmethod
-    def _coordinator_from(records: Sequence[LogRecord]) -> Optional[str]:
-        for record in records:
-            if "coordinator" in record.payload:
-                return record.payload["coordinator"]
-        return None
 
     # ------------------------------------------------------------------
     # Stray messages (post-recovery decisions)
     # ------------------------------------------------------------------
 
     def handle_stray(self, msg: Message) -> Optional[Generator]:
-        if msg.kind == MsgKind.COMMIT and self.wal.last_state(msg.txn_id) == RecordKind.PREPARED:
-            # A decision arriving after reboot for a prepared txn whose
-            # recovery query raced with the coordinator's retransmission.
-            def finish() -> Generator:
-                if not self.store.has_applied(msg.txn_id):
-                    records = self.wal.records_for(msg.txn_id)
-                    yield from self._reapply_logged_updates(msg.txn_id, records)
-                yield from self._worker_commit(msg.txn_id)
-                if self.ack_required:
-                    self.send(msg.src, MsgKind.ACK, msg.txn_id)
-                self.wal.checkpoint(msg.txn_id)
-
-            return finish()
-        if msg.kind == MsgKind.ABORT and self.wal.last_state(msg.txn_id) == RecordKind.PREPARED:
-            def finish_abort() -> Generator:
-                yield from self._worker_abort(msg.txn_id, msg.src, ack=True)
-
-            return finish_abort()
+        if (
+            msg.kind in (MsgKind.COMMIT, MsgKind.ABORT)
+            and self.wal.last_state(msg.txn_id) == RecordKind.PREPARED
+        ):
+            # A decision for a prepared transaction, arriving after the
+            # reboot without a session (its recovery query raced with
+            # the coordinator's retransmission).
+            if self.server.recovering:
+                # Recovery's own DECISION_REQ loop fetches the decision
+                # again; answering here as well would re-apply the
+                # logged updates into the overlay recovery is filling.
+                return None
+            return self._stray_decision(msg)
         return super().handle_stray(msg)
+
+    def _stray_decision(self, msg: Message) -> Generator:
+        txn_id = msg.txn_id
+        if msg.kind == MsgKind.ABORT:
+            yield from self._worker_abort(txn_id, msg.src, ack=True)
+            return
+        if not self.store.has_applied(txn_id):
+            yield from self._reapply(txn_id, self._logged_updates(self.wal.records_for(txn_id)))
+        yield from self._worker_commit(txn_id, msg.src)
+        self.wal.checkpoint(txn_id)
 
 
 register_protocol(

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.core.one_phase import OnePhaseCommitProtocol
+from repro.fs.operations import lock_targets
 from repro.net.message import Message
 from repro.protocols.base import MsgKind, ProtocolSpec, TransactionAborted
 from repro.protocols.registry import CAP_SHARED_LOG
@@ -50,7 +51,7 @@ class EarlyVoteOnePhaseCommit(OnePhaseCommitProtocol):
                 if self.server.fail_next_vote and not first.payload.get("decided"):
                     self.server.fail_next_vote = False
                     raise TransactionAborted("injected vote failure")
-                yield from self.lock_all(txn_id, self._lock_targets(updates))
+                yield from self.lock_all(txn_id, lock_targets(updates))
                 yield from self.apply_updates(txn_id, updates)
                 # BUG: vote first, force afterwards.  A crash between
                 # the send and the force leaves a committed

@@ -41,12 +41,13 @@ def test_top_level_api_shape():
         "OnePhaseCommitProtocol",
         "PresumeNothingProtocol",
         "SimulationParams",
-        "PROTOCOLS",
         "BatchPlanner",
     ):
         assert symbol in repro.__all__
 
-    assert set(repro.PROTOCOLS) == {
+    from repro.protocols import default_protocols
+
+    assert set(default_protocols()) == {
         "PrN", "PrC", "EP", "PrA", "1PC", "PC", "LGL", "1PC-N",
     }
 
@@ -58,9 +59,9 @@ def test_version_is_set():
 
 
 def test_every_protocol_class_has_required_interface():
-    from repro.protocols import PROTOCOLS
+    from repro.protocols import default_protocols, get_spec
 
-    for cls in PROTOCOLS.values():
+    for cls in (get_spec(name).engine for name in default_protocols()):
         for method in ("coordinate", "worker_session", "recover", "handle_stray", "run_local"):
             assert hasattr(cls, method), f"{cls.__name__} lacks {method}"
         assert cls.name
