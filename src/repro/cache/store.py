@@ -6,7 +6,13 @@ Layout under the cache root (``~/.cache/repro`` or ``REPRO_CACHE_DIR``)::
     index.json                     # human-facing summary (kind, label, size)
 
 The object files are the source of truth; ``index.json`` is advisory
-metadata for ``repro cache stats`` and is rebuilt opportunistically.
+metadata for ``repro cache stats``.  A lone :meth:`ResultCache.put`
+updates it at once; inside :meth:`ResultCache.batched_index` (every
+``run_grid`` with a cache) the new index lines are held in memory and
+written once when the batch ends, failed or not — rewriting the whole
+index per entry made a sweep quadratic in its cell count.  A killed
+process therefore loses at most the pending index lines, never an
+entry: ``describe`` reports an unindexed entry as kind ``"?"``.
 Every write — entries and index alike — goes through a temp file in
 the destination directory followed by ``os.replace``, so a crashed or
 killed process can leave stray ``*.tmp`` droppings (swept by gc/clear)
@@ -20,10 +26,11 @@ import hashlib
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
 from repro.cache.fingerprint import code_fingerprint
 from repro.exec.results import SCHEMA_VERSION, git_revision
@@ -101,6 +108,10 @@ class ResultCache:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.fsync = fsync
         self._git_rev: Optional[str] = None
+        #: Index lines not yet written to ``index.json``.
+        self._pending: dict[str, Any] = {}
+        #: Nesting depth of :meth:`batched_index`.
+        self._batching = 0
 
     # -- addressing ----------------------------------------------------------
 
@@ -149,7 +160,8 @@ class ResultCache:
         return cell
 
     def put(self, spec: RunSpec, cell: CellResult) -> Path:
-        """Write ``cell`` through to disk (atomically) and index it."""
+        """Write ``cell`` through to disk (atomically) and index it
+        (on return, or when the enclosing :meth:`batched_index` ends)."""
         key = self.key_for(spec)
         path = self._object_path(key)
         doc = {
@@ -166,8 +178,27 @@ class ResultCache:
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         self._write_atomic(path, text)
         self.metrics.inc("cache.write")
-        self._index_add(key, spec, len(text.encode("utf-8")))
+        self._pending[key] = {
+            "kind": spec.kind,
+            "label": spec.describe(),
+            "nbytes": len(text.encode("utf-8")),
+        }
+        if not self._batching:
+            self._flush_index()
         return path
+
+    @contextmanager
+    def batched_index(self) -> Iterator[None]:
+        """Hold the index lines of every ``put`` in memory and write
+        ``index.json`` once, when the (outermost) batch ends — also
+        when it ends with an exception."""
+        self._batching += 1
+        try:
+            yield
+        finally:
+            self._batching -= 1
+            if not self._batching:
+                self._flush_index()
 
     def count_bypass(self) -> None:
         """Record a cell that deliberately skipped the cache."""
@@ -221,6 +252,7 @@ class ResultCache:
                 continue
             removed += 1
         self._sweep_stray_tmp()
+        self._pending = {}
         self._write_index({})
         return removed
 
@@ -245,6 +277,7 @@ class ResultCache:
             removed += 1
             freed += entry.nbytes
         self._sweep_stray_tmp()
+        self._flush_index()
         if removed:
             live = {entry.key for entry in self.entries()}
             index = self._load_index()
@@ -254,6 +287,7 @@ class ResultCache:
     def describe(self) -> dict[str, Any]:
         """Plain-data summary for ``repro cache stats``."""
         entries = self.entries()
+        self._flush_index()
         index = self._load_index()
         kinds: dict[str, int] = {}
         for entry in entries:
@@ -325,10 +359,13 @@ class ResultCache:
         entries = doc.get("entries")
         return entries if isinstance(entries, dict) else {}
 
-    def _index_add(self, key: str, spec: RunSpec, nbytes: int) -> None:
-        index = self._load_index()
-        index[key] = {"kind": spec.kind, "label": spec.describe(), "nbytes": nbytes}
-        self._write_index(index)
+    def _flush_index(self) -> None:
+        """Write the pending index lines (if any) to ``index.json``."""
+        if self._pending:
+            index = self._load_index()
+            index.update(self._pending)
+            self._pending = {}
+            self._write_index(index)
 
     def _write_index(self, entries: dict[str, Any]) -> None:
         doc = {"schema_version": SCHEMA_VERSION, "entries": entries}

@@ -20,10 +20,12 @@ With a :class:`~repro.cache.ResultCache` attached, every cell is
 looked up *before* dispatch — on both the serial and the pooled path —
 and computed cells are written through as they complete (not at the
 end), so a killed sweep resumes for free: already-completed cells hit,
-only the remainder computes.  Cached and computed cells are
-interchangeable by construction (the cache stores the canonical cell
-document and rebuilding it round-trips byte-identically), so the
-spec-order merge and the bit-identity contract are unchanged.
+only the remainder computes; only the advisory ``index.json`` is
+written once per grid (see :mod:`repro.cache.store`).  Cached and
+computed cells are interchangeable by construction (the cache stores
+the canonical cell document and rebuilding it round-trips
+byte-identically), so the spec-order merge and the bit-identity
+contract are unchanged.
 
 Progress and metrics reporting reuses the simulator's observability
 conventions: the executor emits ``exec``-category records into a
@@ -38,6 +40,7 @@ import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence, cast
 
@@ -154,16 +157,18 @@ def run_grid(
         on_cell = _write_through
 
     if jobs:
-        if workers == 1 or len(jobs) <= 1:
-            _run_serial(
-                spec_list, jobs, results, hits, total, progress, trace, monitor,
-                keep_clusters, on_cell,
-            )
-        else:
-            _run_pooled(
-                spec_list, jobs, results, hits, total, workers, progress, trace,
-                monitor, on_cell,
-            )
+        # One index.json write for the whole grid, even if a cell fails.
+        with cache.batched_index() if cache is not None else nullcontext():
+            if workers == 1 or len(jobs) <= 1:
+                _run_serial(
+                    spec_list, jobs, results, hits, total, progress, trace, monitor,
+                    keep_clusters, on_cell,
+                )
+            else:
+                _run_pooled(
+                    spec_list, jobs, results, hits, total, workers, progress, trace,
+                    monitor, on_cell,
+                )
     if trace is not None:
         trace.emit("exec", "executor", event="grid_done", cells=total, cached=hits)
     return cast("list[CellResult]", list(results))

@@ -129,8 +129,7 @@ def _run_abort_burst_spec(spec: RunSpec, keep_cluster: bool) -> CellResult:
     if fail_every:
         sim.process(arm_failures(sim), name="abort-injector")
 
-    while len(cluster.outcomes) < n:
-        sim.step()
+    cluster.run_until_outcomes(n)
     outcomes = list(cluster.outcomes)
     end = max(o.replied_at for o in outcomes)
     committed = sum(1 for o in outcomes if o.committed)

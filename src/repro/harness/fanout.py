@@ -120,8 +120,7 @@ def run_fanout_cell(
     start = cluster.sim.now
     for batch in batches:
         client.submit(batch)
-    while len(cluster.outcomes) < len(batches):
-        cluster.sim.step()
+    cluster.run_until_outcomes(len(batches))
     end = max(o.replied_at for o in cluster.outcomes)
     committed = sum(1 for o in cluster.outcomes if o.committed)
     if committed != len(batches):

@@ -136,8 +136,7 @@ def run_strategy(
     p = sim.process(measured(sim), name="measured")
     sim.run(until=p)
     expected = baseline_outcomes + creates + (1 if strategy == "migrate-first" else 0)
-    while len(cluster.outcomes) < expected:
-        sim.step()
+    cluster.run_until_outcomes(expected)
     committed = [o for o in cluster.outcomes[baseline_outcomes:]]
     if not all(o.committed for o in committed):
         raise RuntimeError("measured-phase operation aborted")

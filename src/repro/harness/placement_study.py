@@ -76,8 +76,7 @@ def run_placement_point(
             if plan.is_distributed:
                 distributed += 1
             client.submit(plan)
-    while len(cluster.outcomes) < total:
-        cluster.sim.step()
+    cluster.run_until_outcomes(total)
     end = max(o.replied_at for o in cluster.outcomes)
     committed = sum(1 for o in cluster.outcomes if o.committed)
     cluster.sim.run(until=cluster.sim.now + 30.0)

@@ -91,8 +91,7 @@ def run_scaling_cell(
     for d, client in enumerate(clients, start=1):
         for i in range(ops_per_dir):
             client.submit(client.plan_create(f"/dir{d}/f{i}"))
-    while len(cluster.outcomes) < total:
-        cluster.sim.step()
+    cluster.run_until_outcomes(total)
     end = max(o.replied_at for o in cluster.outcomes)
     committed = sum(1 for o in cluster.outcomes if o.committed)
     if committed != total:

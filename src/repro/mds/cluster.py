@@ -61,6 +61,10 @@ from repro.storage import (
 FENCING_DRIVERS = ("stonith", "resource", "scsi")
 
 
+class OutcomeStall(RuntimeError):
+    """A run ended short of the transaction outcomes it was driven to."""
+
+
 class Cluster:
     """A simulated metadata-server cluster."""
 
@@ -162,6 +166,10 @@ class Cluster:
         self._client_ids = itertools.count(1)
         #: The "leave" module: every finished transaction's outcome.
         self.outcomes: list[TxnOutcome] = []
+        #: Outcomes handed to ``outcome_sink`` so far.
+        self._sunk = 0
+        #: Outcomes still to record before run_until_outcomes stops.
+        self._awaiting = 0
         self.heartbeat_services: dict[str, HeartbeatService] = {}
         if heartbeats:
             for name in server_names:
@@ -263,8 +271,39 @@ class Cluster:
     def record_outcome(self, outcome: TxnOutcome) -> None:
         if self.outcome_sink is not None:
             self.outcome_sink(outcome)
+            self._sunk += 1
         else:
             self.outcomes.append(outcome)
+        if self._awaiting:
+            self._awaiting -= 1
+            if not self._awaiting:
+                self.sim.stop()
+
+    def run_until_outcomes(self, count: int, budget: float = 3600.0) -> None:
+        """Run the simulation until ``count`` outcomes are recorded.
+
+        Counts the ``outcomes`` list, or the outcomes handed to
+        ``outcome_sink`` when one is set.  Runs through the kernel's
+        inlined ``run()`` loop and stops right after the event that
+        records the ``count``-th outcome — where a ``step()``-by-step
+        drive checking the count would stop — so callers may inspect
+        state with no settle phase.  Raises :class:`OutcomeStall`
+        naming the shortfall when the schedule drains or ``budget``
+        virtual seconds pass first.
+        """
+        have = self._sunk if self.outcome_sink is not None else len(self.outcomes)
+        if have >= count:
+            return
+        self._awaiting = count - have
+        try:
+            self.sim.run(until=self.sim.now + budget)
+        finally:
+            missing, self._awaiting = self._awaiting, 0
+        if missing:
+            raise OutcomeStall(
+                f"{self.protocol_name}: stalled at {count - missing}/{count} outcomes "
+                f"(the schedule drained or the {budget:g} s virtual-time budget ran out)"
+            )
 
     def committed_outcomes(self) -> list[TxnOutcome]:
         return [o for o in self.outcomes if o.committed]

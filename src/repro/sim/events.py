@@ -23,6 +23,15 @@ without changing any observable behaviour:
   preserves the historical ``event.callbacks.append(...)`` API.
 * **Lazy timeout names.**  The old f-string default name per Timeout
   (pure ``repr`` fodder) is now built on demand.
+
+Retired timers
+--------------
+A :class:`Condition` that resolves (succeeds or fails) detaches its
+callback from every constituent still waiting to fire, and a
+:class:`Timeout` left with no callbacks — the losing deadline of an
+``AnyOf([reply, timeout])`` — is *retired*.  Yielding it, putting it in
+a new condition or reading its ``callbacks`` re-arms it.  The contract
+is stated in :mod:`repro.sim.kernel`.
 """
 
 from __future__ import annotations
@@ -38,9 +47,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 PENDING = 0
 TRIGGERED = 1  # scheduled, value known, callbacks not yet run
 PROCESSED = 2  # callbacks have run
+# Retired timers only (see "Retired timers" above); both compare > PROCESSED.
+RETIRED = 3  # no waiters; its heap entry is skipped when reached
+EVICTED = 4  # no waiters; its heap entry is gone, ``_key`` remembers it
 
 #: Names for ``repr`` and diagnostics, indexed by state.
-STATE_NAMES = ("pending", "triggered", "processed")
+STATE_NAMES = ("pending", "triggered", "processed", "retired", "evicted")
 
 
 class Event:
@@ -59,6 +71,9 @@ class Event:
     #: Pool-recycled events override this (see kernel._trigger_pooled);
     #: a class attribute costs nothing per instance.
     _pooled = False
+    #: Only timeouts may be retired: they always succeed, so dropping
+    #: one that nobody waits on is unobservable.
+    _retirable = False
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
@@ -79,10 +94,13 @@ class Event:
 
         Appending is only meaningful before the event is processed:
         exactly as before the hot-path rework, callbacks added after
-        processing are never invoked.
+        processing are never invoked.  Reading it re-arms a retired
+        timer.
         """
         cbs = self._callbacks
         if cbs is None:
+            if self._state > PROCESSED:
+                self.sim._revive(self)
             cbs = self._callbacks = []
         return cbs
 
@@ -93,8 +111,12 @@ class Event:
 
     @property
     def processed(self) -> bool:
-        """True once all callbacks have run."""
-        return self._state == PROCESSED
+        """True once all callbacks have run (for a retired timer: once
+        the clock has passed its slot)."""
+        state = self._state
+        if state > PROCESSED:
+            return self.sim._is_behind(self)
+        return state == PROCESSED
 
     @property
     def ok(self) -> bool:
@@ -169,7 +191,9 @@ class Event:
 class Timeout(Event):
     """An event that triggers after a fixed virtual-time delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ("delay", "_key")
+
+    _retirable = True
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None, name: str = ""):
         # Inlined Event.__init__ plus immediate triggering: Timeout is
@@ -222,7 +246,17 @@ class Condition(Event):
             self.succeed(self._collect())
             return
         for event in self.events:
-            if event._state == PROCESSED:
+            state = event._state
+            if self._state != PENDING:
+                # Resolved on an already-processed constituent: the
+                # rest get no callback, and a timeout nobody else waits
+                # on is dead from the start.
+                if state == TRIGGERED and event._retirable and not event._callbacks:
+                    sim._retire(event)
+                continue
+            if state > PROCESSED:
+                state = sim._revive(event)
+            if state == PROCESSED:
                 self._on_trigger(event)
             else:
                 cbs = event._callbacks
@@ -240,10 +274,26 @@ class Condition(Event):
         if not event._ok:
             event.defused = True
             self.fail(event._value)
+            self._release()
             return
         self._count += 1
         if self._evaluate(self.events, self._count):
             self.succeed(self._collect())
+            self._release()
+
+    def _release(self) -> None:
+        """Detach from every constituent still to fire; retire each
+        timeout that is left with no callbacks."""
+        on_trigger = self._on_trigger
+        for event in self.events:
+            cbs = event._callbacks
+            if cbs:
+                try:
+                    cbs.remove(on_trigger)
+                except ValueError:  # not attached: see the loop in __init__
+                    continue
+                if not cbs and event._retirable:
+                    self.sim._retire(event)
 
     @staticmethod
     def all_events(events: list[Event], count: int) -> bool:

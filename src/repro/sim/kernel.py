@@ -25,24 +25,62 @@ name string and callback list) per occurrence.  A pooled event is
 returned to the freelist immediately after its callbacks ran.
 
 Everything above is *mechanical*: event order, virtual timestamps and
-process semantics are byte-identical to the straightforward kernel
-(pinned by ``tests/sim/test_differential_kernel.py`` against the
-frozen reference implementation, and by the golden traces).
+process semantics are byte-identical to the straightforward kernel.
+
+Retired timers
+--------------
+The one place this kernel does *less* than the straightforward one: a
+:class:`~repro.sim.events.Timeout` whose every waiter has gone (the
+deadline of an ``AnyOf`` that resolved some other way — see
+:mod:`repro.sim.events`) is *retired*.  The contract:
+
+* A retired timer leaves the heap: its entry is skipped when it
+  reaches the top (lazy deletion), and the whole heap is compacted
+  once retired entries make up more than half of it.
+* It is never popped, never counted in ``events_processed`` and never
+  advances ``now``.  In particular ``now`` after a draining ``run()``
+  is the time of the last *live* event, not of a trailing dead timer.
+* If it gains a waiter again it is re-armed at its original
+  ``(time, priority, sequence)`` when that point is still ahead of the
+  clock, and otherwise behaves as an already-processed event — so no
+  result depends on whether compaction ran.
+* Every other event pops at exactly the same ``(time, priority,
+  sequence)`` as in the straightforward kernel, and every process sees
+  the same values at the same instants.
+
+``tests/sim/test_differential_kernel.py`` pins this against the frozen
+reference implementation (identical pops apart from the dead timers,
+identical process outcomes), and the golden traces pin it end to end.
+
+:meth:`Simulator.stop` ends a ``run()`` right after the current event
+without a per-event check in the loop: it queues a sentinel that sorts
+before everything else at the current instant, takes no sequence
+number and is not counted.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.sim.errors import SimulationError, StopSimulation
-from repro.sim.events import PENDING, PROCESSED, TRIGGERED, Event, Timeout
+from repro.sim.events import (
+    EVICTED,
+    PENDING,
+    PROCESSED,
+    RETIRED,
+    TRIGGERED,
+    Event,
+    Timeout,
+)
 from repro.sim.process import Process
 
 #: Priority of normal events.
 PRIORITY_NORMAL = 1
 #: Priority of urgent events (used by the kernel for process resumption).
 PRIORITY_URGENT = 0
+#: Priority of the stop sentinel: ahead of everything at its instant.
+_PRIORITY_STOP = -1
 
 _INF = float("inf")
 
@@ -95,6 +133,13 @@ class Simulator:
         self._sequence = 0
         self._active_process: Optional[Process] = None
         self._pool: list[_TriggerEvent] = []
+        #: Sequence number of the last live event popped: with ``_now``
+        #: it is the clock's position among same-instant events.
+        self._seq_now = 0
+        #: Heap entries whose event is RETIRED (lazily deleted).
+        self._retired = 0
+        #: The pending stop sentinel's heap entry, if any.
+        self._stop_entry: Optional[tuple[float, int, int, Event]] = None
         #: Number of events processed so far (exposed for statistics).
         self.events_processed = 0
 
@@ -152,6 +197,81 @@ class Simulator:
         event._callbacks = [callback]
         self._schedule(event, delay)
 
+    # -- retired timers (see module docstring) -------------------------------
+
+    def _retire(self, event: Event) -> None:
+        """Drop a scheduled timeout nobody waits on any more."""
+        event._callbacks = None
+        event._state = RETIRED
+        self._retired += 1
+        if self._retired * 2 > len(self._heap):
+            self._compact()
+
+    def _drop(self, entry: tuple[float, int, int, Event]) -> None:
+        """Forget a retired entry taken off the heap, keeping its slot."""
+        event = entry[3]
+        event._state = EVICTED
+        event._key = (entry[0], entry[2])  # type: ignore[attr-defined]
+        self._retired -= 1
+
+    def _compact(self) -> None:
+        """Rebuild the heap without its retired entries (in place: the
+        run() loop holds a reference to the list)."""
+        heap = self._heap
+        live = []
+        for entry in heap:
+            if entry[3]._state == RETIRED:
+                self._drop(entry)
+            else:
+                live.append(entry)
+        heap[:] = live
+        heapify(heap)
+
+    def _is_behind(self, event: Event) -> bool:
+        """Whether the clock has passed a retired timer's slot."""
+        if event._state == RETIRED:  # its entry is still ahead in the heap
+            return False
+        time, seq = event._key  # type: ignore[attr-defined]
+        return time < self._now or (time == self._now and seq < self._seq_now)
+
+    def _revive(self, event: Event) -> int:
+        """Re-arm a retired timer that gained a waiter; returns its new
+        state (TRIGGERED, or PROCESSED when its slot is already past)."""
+        if event._state == RETIRED:
+            self._retired -= 1
+        elif self._is_behind(event):
+            event._state = PROCESSED
+            return PROCESSED
+        else:
+            time, seq = event._key  # type: ignore[attr-defined]
+            heappush(self._heap, (time, PRIORITY_NORMAL, seq, event))
+        event._state = TRIGGERED
+        return TRIGGERED
+
+    def stop(self) -> None:
+        """Make the running ``run()`` return right after the current event.
+
+        The remaining callbacks of the current event still run; the
+        next pop is a sentinel that sorts before every other entry at
+        this instant, reuses the current sequence number (so it
+        consumes none) and is not counted in ``events_processed``.
+        Meant for ``run()`` (``step()`` would surface the request as a
+        :class:`StopSimulation`); a second request before the first is
+        reached is a no-op.
+        """
+        if self._stop_entry is not None:
+            return
+        sentinel = Event(self, "stop")
+        sentinel._state = TRIGGERED
+        sentinel._callbacks = [self._halt]
+        self._stop_entry = (self._now, _PRIORITY_STOP, self._seq_now, sentinel)
+        heappush(self._heap, self._stop_entry)
+
+    def _halt(self, _event: Event) -> None:
+        self._stop_entry = None
+        self.events_processed -= 1  # the sentinel is not an event
+        raise StopSimulation()
+
     # -- factories -----------------------------------------------------------
 
     def event(self, name: str = "") -> Event:
@@ -169,19 +289,24 @@ class Simulator:
     # -- execution -----------------------------------------------------------
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` when idle."""
+        """Time of the next live scheduled event, or ``inf`` when idle."""
         heap = self._heap
+        while heap and heap[0][3]._state == RETIRED:
+            self._drop(heappop(heap))
         return heap[0][0] if heap else _INF
 
     def step(self) -> None:
-        """Process exactly one event."""
+        """Process exactly one (live) event."""
         heap = self._heap
+        while heap and heap[0][3]._state == RETIRED:
+            self._drop(heappop(heap))
         if not heap:
             raise SimulationError("step() on an empty schedule")
-        time, _priority, _seq, event = heappop(heap)
+        time, _priority, seq, event = heappop(heap)
         if time < self._now:
             raise SimulationError("event scheduled in the past")
         self._now = time
+        self._seq_now = seq
         self.events_processed += 1
         event._run_callbacks()
         if not event._ok and not event.defused:
@@ -201,6 +326,8 @@ class Simulator:
         deadline = _INF
         if isinstance(until, Event):
             stop_event = until
+            if stop_event._state > PROCESSED:
+                self._revive(stop_event)
             if stop_event._state == PROCESSED:
                 return stop_event.value
             stop_event.callbacks.append(self._stop_on_event)
@@ -213,7 +340,8 @@ class Simulator:
         # heappop, Event._run_callbacks unrolled (no subclass overrides
         # it), counter flushed once in the finally.  Scheduling in the
         # past is impossible through _schedule (delay >= 0), so the
-        # defensive check step() keeps is skipped here.
+        # defensive check step() keeps is skipped here.  Retired
+        # entries are dropped as they surface, uncounted.
         heap = self._heap
         pool = self._pool
         processed = 0
@@ -222,7 +350,11 @@ class Simulator:
                 while heap:
                     entry = heappop(heap)
                     event = entry[3]
+                    if event._state == RETIRED:
+                        self._drop(entry)
+                        continue
                     self._now = entry[0]
+                    self._seq_now = entry[2]
                     processed += 1
                     event._state = PROCESSED
                     callbacks = event._callbacks
@@ -238,7 +370,11 @@ class Simulator:
                 while heap and heap[0][0] <= deadline:
                     entry = heappop(heap)
                     event = entry[3]
+                    if event._state == RETIRED:
+                        self._drop(entry)
+                        continue
                     self._now = entry[0]
+                    self._seq_now = entry[2]
                     processed += 1
                     event._state = PROCESSED
                     callbacks = event._callbacks
@@ -254,6 +390,11 @@ class Simulator:
             return stop.value
         finally:
             self.events_processed += processed
+            if self._stop_entry is not None:
+                # Requested but never reached: the run ended otherwise.
+                heap.remove(self._stop_entry)
+                heapify(heap)
+                self._stop_entry = None
             if stop_event is not None:
                 cbs = stop_event._callbacks
                 if cbs is not None and self._stop_on_event in cbs:
@@ -268,7 +409,10 @@ class Simulator:
                 f"schedule drained at t={self._now} before {stop_event!r} triggered"
             )
         if deadline != _INF:
+            # Everything scheduled so far at or before the deadline is
+            # behind the clock now.
             self._now = deadline
+            self._seq_now = self._sequence
         return None
 
     @staticmethod

@@ -147,11 +147,18 @@ class Process(Event):
             return
 
         self._waiting_on = target
-        if target._state == PROCESSED:
+        state = target._state
+        if state > PROCESSED:  # a retired timer: re-arm it (or see it as past)
+            state = sim._revive(target)
+        if state == PROCESSED:
             # Already-processed events resume the process immediately
             # (still via the scheduler, to preserve determinism).
             sim._trigger_pooled(
                 self._resume, target._value, ok=target._ok, defused=not target._ok
             )
         else:
-            target.callbacks.append(self._resume)
+            cbs = target._callbacks
+            if cbs is None:
+                target._callbacks = [self._resume]
+            else:
+                cbs.append(self._resume)

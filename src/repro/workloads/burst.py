@@ -74,14 +74,7 @@ def run_burst(
         for path in paths:
             client.submit(client.plan_delete(path))
 
-    deadline = start + virtual_time_budget
-    while len(cluster.outcomes) < n:
-        if sim.peek() > deadline:
-            raise RuntimeError(
-                f"burst did not finish within the virtual-time budget "
-                f"({len(cluster.outcomes)}/{n} outcomes)"
-            )
-        sim.step()
+    cluster.run_until_outcomes(n, budget=virtual_time_budget)
     # Let trailing protocol activity (decision forwarding, lazy commit
     # flushes, log GC) settle so post-run state inspection sees the
     # hardened image.  Throughput uses reply times, so this does not
@@ -123,8 +116,7 @@ def run_batched_burst(
     start = sim.now
     for batch in batches:
         client.submit(batch)
-    while len(cluster.outcomes) < len(batches):
-        sim.step()
+    cluster.run_until_outcomes(len(batches))
     sim.run(until=sim.now + 30.0)
 
     outcomes = list(cluster.outcomes)

@@ -96,13 +96,7 @@ def run_mixed(
 
     start = sim.now
     sim.process(driver(sim), name="mixed-driver")
-    deadline = start + 3600.0
-    while len(cluster.outcomes) < wl.n_ops:
-        if sim.peek() > deadline:
-            raise RuntimeError(
-                f"mixed workload stalled at {len(cluster.outcomes)}/{wl.n_ops}"
-            )
-        sim.step()
+    cluster.run_until_outcomes(wl.n_ops)
     # Settle trailing protocol activity before state inspection.
     sim.run(until=sim.now + 30.0)
 
@@ -137,8 +131,7 @@ def run_mdtest_phases(
         start = sim.now
         for path in paths:
             client.submit(planner(path))
-        while len(cluster.outcomes) < n_files:
-            sim.step()
+        cluster.run_until_outcomes(n_files)
         end = max(o.replied_at for o in cluster.outcomes)
         sim.run(until=sim.now + 30.0)
         committed = sum(1 for o in cluster.outcomes if o.committed)

@@ -151,10 +151,7 @@ def run_replay(
     proc = sim.process(driver(sim), name="replay")
     sim.run(until=proc)
     # Drain outstanding open-loop operations and trailing protocol work.
-    expected = len(ops) - skipped["n"] - stats["n"]
-    guard = sim.now + 600.0
-    while len(cluster.outcomes) < expected and sim.peek() < guard:
-        sim.step()
+    cluster.run_until_outcomes(len(ops) - skipped["n"] - stats["n"])
     sim.run(until=sim.now + 30.0)
 
     outcomes = list(cluster.outcomes)

@@ -1,13 +1,24 @@
 """Differential testing: optimized kernel vs the frozen reference.
 
-Every scheduled pop in the optimized ``repro.sim`` kernel must happen
-at exactly the same ``(time, priority, sequence)`` as in the frozen
-pre-overhaul reference kernel (``reference_kernel.py``), and every
-process must finish with exactly the same return value.  A seeded
-generator produces hundreds of randomized schedules — timeout storms,
-already-processed relays, AllOf/AnyOf fan-ins, caught failures,
-cross-process waits and interrupts — and each one is interpreted twice,
-once per kernel, from the same immutable program spec.
+The optimized ``repro.sim`` kernel retires *dead timers*: a timeout
+whose every waiter is a condition that has already resolved (the
+losing deadline of an ``AnyOf``).  The frozen pre-overhaul reference
+kernel (``reference_kernel.py``) still pops and dispatches them.  The
+contract checked here, on hundreds of seeded random schedules (timeout
+storms, already-processed relays, AllOf/AnyOf fan-ins, caught failures,
+cross-process waits, interrupts, re-armed deadlines):
+
+* every reference pop that is *not* a dead timer happens in the
+  optimized kernel at exactly the same ``(time, priority, sequence)``,
+  in the same order, and no other pop happens;
+* every process finishes with exactly the same return value;
+* ``events_processed`` is the reference count minus the dead pops, and
+  ``now`` ends at the last live pop;
+* the inlined ``run()`` loop agrees with a ``step()``-wise drive.
+
+A dead pop is classified on the reference side, at pop time: a
+``RefTimeout`` that has callbacks, every one of them the trigger hook
+of a condition that has already triggered.
 
 If this test fails, a hot-path "optimization" changed event ordering:
 that is a semantic change, never a cleanup.
@@ -24,11 +35,14 @@ from repro.sim import AllOf, AnyOf, Interrupt, Simulator
 from tests.sim.reference_kernel import (
     RefAllOf,
     RefAnyOf,
+    RefCondition,
     RefInterrupt,
     RefSimulator,
+    RefTimeout,
 )
 
 N_SCHEDULES = 200
+N_STORMS = 40
 
 # -- program generation -------------------------------------------------------
 #
@@ -77,6 +91,35 @@ def make_program(rng: random.Random) -> list[list[tuple]]:
     return program
 
 
+def make_storm_program(rng: random.Random) -> list[list[tuple]]:
+    """Timer storms: many processes racing short timers against long
+    deadlines, so retired entries pile up past half the heap (forcing
+    compaction), plus re-armed deadlines that may be ahead of or
+    behind the clock when they gain a waiter again."""
+
+    def short() -> float:
+        return rng.randrange(1, 16) * 0.0009765625
+
+    def long() -> float:
+        return rng.randrange(32, 2048) * 0.0009765625
+
+    program: list[list[tuple]] = []
+    for _ in range(rng.randrange(8, 24)):
+        ops: list[tuple] = []
+        for _ in range(rng.randrange(1, 4)):
+            kind = rng.randrange(4)
+            if kind <= 1:
+                ops.append(("storm", [(short(), long()) for _ in range(rng.randrange(3, 12))]))
+            elif kind == 2:
+                # The pause is often long enough to pass the deadline.
+                pause = rng.randrange(0, 3) * 0.5
+                ops.append(("shared_deadline", long(), [short() for _ in range(3)], pause))
+            else:
+                ops.append(("rearm_append", long(), short()))
+        program.append(ops)
+    return program
+
+
 def build(sim: Any, api: dict[str, Any], program: list[list[tuple]]) -> list[Any]:
     """Instantiate ``program`` against a kernel; returns the processes."""
     allof, anyof, interrupt_exc = api["AllOf"], api["AnyOf"], api["Interrupt"]
@@ -120,6 +163,40 @@ def build(sim: Any, api: dict[str, Any], program: list[list[tuple]]) -> list[Any
                     yield sim.timeout(op[2])
                     procs[op[1]].interrupt("poke")
                     digest.append("poked")
+                elif op[0] == "storm":
+                    # Race short timers against long deadlines that lose.
+                    for short, long in op[1]:
+                        result = yield anyof(sim, [sim.timeout(short, 1), sim.timeout(long, 2)])
+                        digest.append(sorted(result.values()))
+                elif op[0] == "shared_deadline":
+                    # One deadline raced in several rounds (retired and
+                    # re-armed each round), then waited on directly
+                    # after a pause that may carry the clock past it.
+                    _, long, shorts, pause = op
+                    deadline = sim.timeout(long, "deadline")
+                    for short in shorts:
+                        result = yield anyof(sim, [sim.timeout(short, "tick"), deadline])
+                        digest.append(sorted(map(str, result.values())))
+                    yield sim.timeout(pause)
+                    digest.append((yield deadline))
+                elif op[0] == "anyof_after_stale":
+                    # A condition that resolves while being built (on an
+                    # already-processed event): its fresh deadline is
+                    # dead from the start.
+                    event = sim.event()
+                    event.succeed("stale")
+                    yield event
+                    result = yield anyof(sim, [event, sim.timeout(op[1], "late")])
+                    digest.append(sorted(map(str, result.values())))
+                elif op[0] == "rearm_append":
+                    # Re-arm a retired deadline through callbacks.append.
+                    _, long, short = op
+                    deadline = sim.timeout(long, "late")
+                    yield anyof(sim, [sim.timeout(short), deadline])
+                    seen: list[Any] = []
+                    deadline.callbacks.append(lambda e: seen.append(e.value))
+                    yield sim.timeout(long)
+                    digest.append(list(seen))
             except interrupt_exc as exc:
                 digest.append(("interrupted", str(exc.cause)))
         return digest
@@ -139,12 +216,36 @@ def outcomes(procs: list[Any]) -> list[Any]:
     return [p.value if p.triggered else "pending" for p in procs]
 
 
+def is_dead_timer(event: Any) -> bool:
+    """A reference timeout only resolved conditions still wait on."""
+    return (
+        isinstance(event, RefTimeout)
+        and bool(event.callbacks)
+        and all(
+            isinstance(getattr(cb, "__self__", None), RefCondition) and cb.__self__.triggered
+            for cb in event.callbacks
+        )
+    )
+
+
 def run_reference(program: list[list[tuple]]):
+    """Drive the reference one step() at a time; returns the live pops,
+    outcomes, the time of the last live pop, the reference's own event
+    count and the number of dead-timer pops."""
     sim = RefSimulator()
     api = {"AllOf": RefAllOf, "AnyOf": RefAnyOf, "Interrupt": RefInterrupt}
     procs = build(sim, api, program)
-    sim.run()
-    return sim.pop_log, outcomes(procs), sim.now, sim.events_processed
+    live_log: list[tuple[float, int, int]] = []
+    dead = 0
+    while sim._heap:
+        time, priority, seq, event = sim._heap[0]
+        if is_dead_timer(event):
+            dead += 1
+        else:
+            live_log.append((time, priority, seq))
+        sim.step()
+    last_live = live_log[-1][0] if live_log else 0.0
+    return live_log, outcomes(procs), last_live, sim.events_processed, dead
 
 
 def run_optimized_stepwise(program: list[list[tuple]]):
@@ -153,8 +254,8 @@ def run_optimized_stepwise(program: list[list[tuple]]):
     api = {"AllOf": AllOf, "AnyOf": AnyOf, "Interrupt": Interrupt}
     procs = build(sim, api, program)
     pop_log: list[tuple[float, int, int]] = []
-    while sim._heap:
-        entry = sim._heap[0]
+    while sim.peek() != float("inf"):
+        entry = sim._heap[0]  # peek() dropped any retired entries on top
         pop_log.append((entry[0], entry[1], entry[2]))
         sim.step()
     return pop_log, outcomes(procs), sim.now, sim.events_processed
@@ -169,27 +270,102 @@ def run_optimized_inline(program: list[list[tuple]]):
     return outcomes(procs), sim.now, sim.events_processed
 
 
-@pytest.mark.parametrize("seed", range(N_SCHEDULES))
-def test_differential_schedules(seed):
-    program = make_program(random.Random(seed))
-
-    ref_log, ref_values, ref_now, ref_count = run_reference(program)
+def assert_matches_reference(program: list[list[tuple]], label: str) -> int:
+    """The retirement contract for one program; returns the dead pops."""
+    ref_log, ref_values, ref_now, ref_count, dead = run_reference(program)
     opt_log, opt_values, opt_now, opt_count = run_optimized_stepwise(program)
 
-    assert opt_log == ref_log, f"pop order diverged (seed {seed})"
-    assert opt_values == ref_values, f"process outcomes diverged (seed {seed})"
-    assert opt_now == ref_now
-    assert opt_count == ref_count
+    assert opt_log == ref_log, f"live pop order diverged ({label})"
+    assert opt_values == ref_values, f"process outcomes diverged ({label})"
+    assert opt_now == ref_now, f"clock after the last live pop diverged ({label})"
+    assert opt_count == ref_count - dead == len(ref_log)
 
     # The inlined run() loop must agree with its own step()-wise drive.
     inl_values, inl_now, inl_count = run_optimized_inline(program)
     assert inl_values == opt_values
     assert inl_now == opt_now
     assert inl_count == opt_count
+    return dead
+
+
+@pytest.mark.parametrize("seed", range(N_SCHEDULES))
+def test_differential_schedules(seed):
+    assert_matches_reference(make_program(random.Random(seed)), f"seed {seed}")
+
+
+@pytest.mark.parametrize("seed", range(N_STORMS))
+def test_differential_timer_storms(seed):
+    dead = assert_matches_reference(make_storm_program(random.Random(seed)), f"storm {seed}")
+    assert dead > 0
+
+
+def test_timer_storms_force_compaction(monkeypatch):
+    """Meta-check: the storm programs really pile retired entries past
+    half the heap, in both drives."""
+    calls = {"n": 0}
+    real = Simulator._compact
+
+    def counting(self):
+        calls["n"] += 1
+        real(self)
+
+    monkeypatch.setattr(Simulator, "_compact", counting)
+    program = make_storm_program(random.Random(0))
+    run_optimized_stepwise(program)
+    stepped = calls["n"]
+    run_optimized_inline(program)
+    assert stepped > 0 and calls["n"] > stepped
+
+
+def test_retired_timer_rearms_ahead_and_behind_the_clock():
+    """A deadline retired by a lost race, re-armed by yielding it: once
+    while its slot is still ahead (it then fires at its own time), and
+    once after the clock passed it at the same instant but a later
+    sequence number (it then behaves as already processed)."""
+
+    def program(sim: Any, anyof: Any, log: list) -> Any:
+        ahead = sim.timeout(1.0, "ahead")
+        yield anyof(sim, [sim.timeout(0.25), ahead])
+        log.append(("ahead", (yield ahead), sim.now))
+        behind = sim.timeout(1.0, "behind")  # due at 2.0
+        yield anyof(sim, [sim.timeout(0.25), behind])
+        yield sim.timeout(0.75)  # wakes at 2.0, after `behind`'s slot
+        log.append(("behind", (yield behind), sim.now))
+
+    results = []
+    for sim, anyof in ((RefSimulator(), RefAnyOf), (Simulator(), AnyOf)):
+        log: list = []
+        sim.process(program(sim, anyof, log))
+        sim.run()
+        results.append((log, sim.now))
+    assert results[0] == results[1]
+    assert results[1][0] == [("ahead", "ahead", 1.0), ("behind", "behind", 2.0)]
+
+
+def test_condition_resolved_while_built_retires_its_fresh_deadline():
+    program = [[("anyof_after_stale", 0.5)], [("timeout", 0.25, 7)]]
+    assert assert_matches_reference(program, "resolved while built") == 1
+
+
+def test_retired_timer_is_not_counted_and_keeps_the_clock():
+    sim = Simulator()
+    loser = sim.timeout(5.0)
+
+    def racer():
+        yield AnyOf(sim, [sim.timeout(1.0), loser])
+
+    sim.process(racer())
+    sim.run()
+    assert sim.now == 1.0  # the dead 5.0 deadline never advanced the clock
+    # kick-start, the winning timer, the condition and the process end
+    assert sim.events_processed == 4
+    assert loser.triggered and not loser.processed
+    sim.run(until=6.0)
+    assert loser.processed  # the clock has now passed its slot
 
 
 def test_differential_pop_log_nonempty():
     """Meta-check: the generator actually produces work."""
     program = make_program(random.Random(0))
-    ref_log, _, _, count = run_reference(program)
-    assert len(ref_log) == count > 0
+    ref_log, _, _, count, dead = run_reference(program)
+    assert len(ref_log) == count - dead > 0
