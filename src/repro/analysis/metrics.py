@@ -76,9 +76,15 @@ class LatencyStats:
             raise ValueError("no observations to summarise")
         if stats.mode == "exact":
             values = sorted(stats.values)
+            # A plain left-to-right sum, as ``sum()`` added before
+            # Python 3.12 (whose ``sum()`` compensates rounding and
+            # would move the mean's last bits, and the goldens with it).
+            total: float = 0
+            for value in values:
+                total += value
             return LatencyStats(
                 count=len(values),
-                mean=sum(values) / len(values),
+                mean=total / len(values),
                 minimum=values[0],
                 maximum=values[-1],
                 p50=percentile(values, 50.0),

@@ -146,7 +146,8 @@ class LockManager:
             return False
         if self._grantable(entry, txn_id, mode):
             entry.holders[txn_id] = mode
-            self.obs.lock_grant(self.name, txn=txn_id, obj=obj_id, mode=mode.value)
+            if self.obs.enabled:
+                self.obs.lock_grant(self.name, txn=txn_id, obj=obj_id, mode=mode.value)
             return True
         return False
 
@@ -187,7 +188,8 @@ class LockManager:
         if entry is None or txn_id not in entry.holders:
             raise KeyError(f"txn {txn_id} does not hold a lock on {obj_id!r}")
         del entry.holders[txn_id]
-        self.obs.lock_release(self.name, txn=txn_id, obj=obj_id)
+        if self.obs.enabled:
+            self.obs.lock_release(self.name, txn=txn_id, obj=obj_id)
         self._dispatch(obj_id)
 
     def release_all(self, txn_id: Hashable) -> int:
@@ -198,7 +200,8 @@ class LockManager:
             if txn_id in entry.holders:
                 del entry.holders[txn_id]
                 released += 1
-                self.obs.lock_release(self.name, txn=txn_id, obj=obj_id)
+                if self.obs.enabled:
+                    self.obs.lock_release(self.name, txn=txn_id, obj=obj_id)
                 self._dispatch(obj_id)
             # Also withdraw any queued request by this transaction.
             for waiter in [w for w in entry.queue if w.txn_id == txn_id]:
@@ -223,9 +226,10 @@ class LockManager:
                 entry.holders[waiter.txn_id] = LockMode.EXCLUSIVE
             elif held is None:
                 entry.holders[waiter.txn_id] = waiter.mode
-            self.obs.lock_grant(
-                self.name, txn=waiter.txn_id, obj=obj_id, mode=waiter.mode.value
-            )
+            if self.obs.enabled:
+                self.obs.lock_grant(
+                    self.name, txn=waiter.txn_id, obj=obj_id, mode=waiter.mode.value
+                )
             waiter.event.succeed()
             if waiter.mode is LockMode.EXCLUSIVE:
                 break

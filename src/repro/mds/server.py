@@ -29,7 +29,7 @@ from repro.fs.operations import OpPlan
 from repro.locks import LockManager
 from repro.net.message import Message
 from repro.protocols.base import SESSION_OPENERS, MsgKind, Protocol, Transaction
-from repro.sim import Process, Store
+from repro.sim import Event, Process, Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mds.cluster import Cluster
@@ -64,7 +64,9 @@ class MDSServer:
         self.crashed = False
         self.recovering = False
         self._sessions: dict[int, Store] = {}
-        self._procs: set[Process] = set()
+        #: Live processes in spawn order (a dict, so crash() kills them
+        #: in a deterministic order).
+        self._procs: dict[Process, None] = {}
         self._buffered_requests: list[Message] = []
         self._dispatcher: Optional[Process] = None
         self._start_dispatcher()
@@ -91,9 +93,12 @@ class MDSServer:
 
     def spawn(self, generator, name: str = "") -> Process:
         proc = self.sim.process(generator, name=name or f"{self.name}:proc")
-        self._procs.add(proc)
-        proc.callbacks.append(lambda _e: self._procs.discard(proc))
+        self._procs[proc] = None
+        proc.callbacks.append(self._untrack)
         return proc
+
+    def _untrack(self, proc: Event) -> None:
+        self._procs.pop(proc, None)  # type: ignore[call-overload]
 
     # ------------------------------------------------------------------
     # Dispatch

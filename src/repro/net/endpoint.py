@@ -41,8 +41,10 @@ class Endpoint:
     def send_to(self, dst: str, kind: str, txn_id: Optional[int] = None, **payload) -> Message:
         """Build and transmit a message; returns it (msg_id assigned
         by the network at send time)."""
-        msg = Message(src=self.node, dst=dst, kind=kind, txn_id=txn_id, payload=payload)
-        self.send(msg)
+        # Built positionally and handed straight to the network: the
+        # source check of send() holds by construction.
+        msg = Message(self.node, dst, kind, txn_id, payload)
+        self.network.send(msg)
         return msg
 
     # -- receiving ---------------------------------------------------------------

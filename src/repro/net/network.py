@@ -151,7 +151,9 @@ class Network:
             # A crashed node cannot transmit.
             self.obs.msg_drop(message.src, reason="sender_down", kind=message.kind)
             return
-        if not self.connected(message.src, message.dst):
+        # connected() is consulted only while a partition or a failed
+        # link exists; with neither, every pair is connected.
+        if (self._down_links or self._groups) and not self.connected(message.src, message.dst):
             self.obs.msg_drop(
                 message.src,
                 reason="partitioned",
@@ -161,16 +163,19 @@ class Network:
             )
             return
 
-        delay = self.params.latency + self.params.byte_cost * message.size
-        if self.params.jitter:
-            delay += self.rng.uniform("net.jitter", 0.0, self.params.jitter)
-        self.obs.msg_send(
-            message.src,
-            kind=message.kind,
-            dst=message.dst,
-            txn=message.txn_id,
-            msg_id=message.msg_id,
-        )
+        params = self.params
+        delay = params.latency + params.byte_cost * message.size
+        if params.jitter:
+            delay += self.rng.uniform("net.jitter", 0.0, params.jitter)
+        obs = self.obs
+        if obs.enabled:
+            obs.msg_send(
+                message.src,
+                kind=message.kind,
+                dst=message.dst,
+                txn=message.txn_id,
+                msg_id=message.msg_id,
+            )
         # Pooled delivery timer: replaces a per-hop Timeout + closure
         # allocation.  Scheduling order is identical — the pooled event
         # takes its heap sequence number at the same program point the
@@ -187,14 +192,16 @@ class Network:
             return
         # Re-check connectivity at arrival time: a partition that formed
         # while the message was in flight severs it.
-        if not self.connected(message.src, message.dst):
+        if (self._down_links or self._groups) and not self.connected(message.src, message.dst):
             self.obs.msg_drop(message.dst, reason="partitioned", kind=message.kind)
             return
-        self.obs.msg_recv(
-            message.dst,
-            kind=message.kind,
-            src=message.src,
-            txn=message.txn_id,
-            msg_id=message.msg_id,
-        )
+        obs = self.obs
+        if obs.enabled:
+            obs.msg_recv(
+                message.dst,
+                kind=message.kind,
+                src=message.src,
+                txn=message.txn_id,
+                msg_id=message.msg_id,
+            )
         endpoint.mailbox.put(message)

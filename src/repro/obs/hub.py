@@ -14,7 +14,10 @@ API:
 Subsystems call the typed hooks below (``msg_send``, ``log_append``,
 ``lock_grant``, ``txn_start``...) instead of writing trace strings;
 each hook fans out to all three sinks.  Every hook early-outs when the
-hub is disabled, so tracing is toggleable with near-zero cost.
+hub is disabled, and the hottest call sites (message send/receive, log
+append/durable, lock grant/release) test :attr:`Observability.enabled`
+themselves before building the hook's arguments, so tracing that is off
+costs near zero.
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ class Observability:
         self.trace = trace if trace is not None else TraceLog(sim, enabled=enabled)
         self.spans = spans if spans is not None else SpanCollector(sim, enabled=enabled)
         self.metrics = metrics if metrics is not None else MetricsRegistry(enabled=enabled)
+        #: Whether any sink records.  Computed once: the sinks are fixed
+        #: at construction (no sink is swapped or toggled afterwards),
+        #: and hot call sites read this attribute on every hook.
+        self.enabled: bool = self.trace.enabled or self.spans.enabled or self.metrics.enabled
         #: (lock-manager name, txn, obj) -> grant time, for hold-time
         #: histograms.
         self._lock_grants: dict[tuple[str, Any, Any], float] = {}
@@ -86,10 +93,6 @@ class Observability:
                 metrics=MetricsRegistry(enabled=False),
             )
         return cls.disabled(sim)
-
-    @property
-    def enabled(self) -> bool:
-        return self.trace.enabled or self.spans.enabled or self.metrics.enabled
 
     # -- low-level fan-out --------------------------------------------------
 

@@ -188,6 +188,12 @@ class Protocol:
 
     def __init__(self, server: "MDSServer") -> None:
         self.server = server
+        # Fixed for the server's lifetime, so plain attributes; wal,
+        # store and locks stay properties because a crash replaces them.
+        self.sim: "Simulator" = server.sim
+        self.me: str = server.name
+        self.params: "SimulationParams" = server.params
+        self.obs: "Observability" = server.obs
 
     def claims_worker_message(self, msg: Message) -> bool:
         """Whether this engine speaks ``msg`` on the worker side.
@@ -209,14 +215,6 @@ class Protocol:
     # -- convenience accessors ------------------------------------------------
 
     @property
-    def sim(self) -> "Simulator":
-        return self.server.sim
-
-    @property
-    def me(self) -> str:
-        return self.server.name
-
-    @property
     def wal(self) -> "WriteAheadLog":
         return self.server.wal
 
@@ -228,23 +226,18 @@ class Protocol:
     def store(self) -> "MetadataStore":
         return self.server.store
 
-    @property
-    def params(self) -> "SimulationParams":
-        return self.server.params
-
-    @property
-    def obs(self) -> "Observability":
-        return self.server.obs
-
     # -- log-record construction ------------------------------------------------
 
     def state_rec(self, kind: RecordKind, txn_id: int, **payload: Any) -> LogRecord:
-        sizes = {
-            RecordKind.STARTED: self.params.storage.start_record_size,
-            RecordKind.ENDED: self.params.storage.end_record_size,
-            RecordKind.REDO: self.params.storage.redo_record_size,
-        }
-        size = sizes.get(kind, self.params.storage.state_record_size)
+        storage = self.params.storage
+        if kind == RecordKind.STARTED:
+            size = storage.start_record_size
+        elif kind == RecordKind.ENDED:
+            size = storage.end_record_size
+        elif kind == RecordKind.REDO:
+            size = storage.redo_record_size
+        else:
+            size = storage.state_record_size
         payload.setdefault("proto", self.name)
         return LogRecord(kind=kind, txn_id=txn_id, size=size, payload=payload)
 

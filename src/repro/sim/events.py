@@ -141,7 +141,12 @@ class Event:
         self._ok = True
         self._value = value
         self._state = TRIGGERED
-        self.sim._schedule(self, delay)
+        sim = self.sim
+        if delay:
+            sim._schedule(self, delay)
+        else:  # due now: straight onto the kernel's same-instant lane
+            sim._sequence += 1
+            sim._lane.append((sim._sequence, self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -153,7 +158,12 @@ class Event:
         self._ok = False
         self._value = exception
         self._state = TRIGGERED
-        self.sim._schedule(self, delay)
+        sim = self.sim
+        if delay:
+            sim._schedule(self, delay)
+        else:
+            sim._sequence += 1
+            sim._lane.append((sim._sequence, self))
         return self
 
     def trigger_like(self, other: "Event") -> None:

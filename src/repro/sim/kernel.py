@@ -10,11 +10,11 @@ Hot-path notes
 --------------
 ``run()`` is the innermost loop of every experiment, so it is written
 as a tight inline loop rather than composed from ``peek()``/``step()``:
-heap and ``heappop`` are bound to locals, the callback dispatch of
-:meth:`~repro.sim.events.Event._run_callbacks` is inlined (no event
-subclass overrides it), and the processed-event counter is accumulated
-locally and flushed once.  ``step()`` stays the one-event-at-a-time
-public API with identical semantics.
+the queues and their pop methods are bound to locals, the callback
+dispatch of :meth:`~repro.sim.events.Event._run_callbacks` is inlined
+(no event subclass overrides it), and the processed-event counter is
+accumulated locally and flushed once.  ``step()`` stays the
+one-event-at-a-time public API with identical semantics.
 
 The kernel also keeps a small **freelist of trigger events**: process
 kick-starts, relays of already-processed targets, interrupt wakeups
@@ -27,6 +27,25 @@ returned to the freelist immediately after its callbacks ran.
 Everything above is *mechanical*: event order, virtual timestamps and
 process semantics are byte-identical to the straightforward kernel.
 
+The same-instant lane
+---------------------
+More than half of all schedules are due at the current instant
+(zero-delay ``succeed``/``fail``, kick-starts, relays).  Such an entry
+— computed time ``== now``, scheduled while the clock is at ``now`` —
+goes onto a FIFO ``deque`` of ``(sequence, event)`` instead of the
+heap.  The pop rule is: first any heap entry due at or before ``now``
+(this includes the :meth:`Simulator.stop` sentinel), then the lane,
+then advance the clock to the heap's top.
+
+The order is exactly the single heap's.  Every heap entry due at
+``now`` was pushed before the clock reached ``now`` (one pushed at
+``now`` for ``now`` would have gone onto the lane), so its sequence
+number is smaller than that of every lane entry; lane entries share the
+time and priority and are appended in sequence order.  Sequence numbers
+are taken at the same program points as before, so every event keeps
+its ``(time, priority, sequence)`` key; lane entries report priority
+:data:`PRIORITY_NORMAL`.  The lane drains before the clock moves.
+
 Retired timers
 --------------
 The one place this kernel does *less* than the straightforward one: a
@@ -34,16 +53,21 @@ The one place this kernel does *less* than the straightforward one: a
 deadline of an ``AnyOf`` that resolved some other way — see
 :mod:`repro.sim.events`) is *retired*.  The contract:
 
-* A retired timer leaves the heap: its entry is skipped when it
-  reaches the top (lazy deletion), and the whole heap is compacted
-  once retired entries make up more than half of it.
+* A retired timer leaves the schedule: its entry is skipped when it
+  reaches the front of the heap or of the lane (lazy deletion), and the
+  heap is compacted once retired entries make up more than half of the
+  schedule.  Compaction never evicts lane entries (the lane drains
+  within the instant anyway).
 * It is never popped, never counted in ``events_processed`` and never
   advances ``now``.  In particular ``now`` after a draining ``run()``
   is the time of the last *live* event, not of a trailing dead timer.
 * If it gains a waiter again it is re-armed at its original
   ``(time, priority, sequence)`` when that point is still ahead of the
   clock, and otherwise behaves as an already-processed event — so no
-  result depends on whether compaction ran.
+  result depends on whether compaction ran.  An entry still queued is
+  simply live again; an evicted one goes back onto the heap (never the
+  lane: an evicted lane entry was at the lane's front, so the heap-first
+  pop rule puts it back exactly in sequence order).
 * Every other event pops at exactly the same ``(time, priority,
   sequence)`` as in the straightforward kernel, and every process sees
   the same values at the same instants.
@@ -53,13 +77,14 @@ reference implementation (identical pops apart from the dead timers,
 identical process outcomes), and the golden traces pin it end to end.
 
 :meth:`Simulator.stop` ends a ``run()`` right after the current event
-without a per-event check in the loop: it queues a sentinel that sorts
-before everything else at the current instant, takes no sequence
-number and is not counted.
+without a per-event check in the loop: it queues a heap sentinel that
+sorts before everything else at the current instant (lane included),
+takes no sequence number and is not counted.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -75,10 +100,8 @@ from repro.sim.events import (
 )
 from repro.sim.process import Process
 
-#: Priority of normal events.
+#: Priority of every scheduled event (lane entries report it too).
 PRIORITY_NORMAL = 1
-#: Priority of urgent events (used by the kernel for process resumption).
-PRIORITY_URGENT = 0
 #: Priority of the stop sentinel: ahead of everything at its instant.
 _PRIORITY_STOP = -1
 
@@ -130,13 +153,16 @@ class Simulator:
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
         self._heap: list[tuple[float, int, int, Event]] = []
+        #: The same-instant lane: ``(sequence, event)`` entries due at
+        #: ``_now`` (see the module docstring).
+        self._lane: deque[tuple[int, Event]] = deque()
         self._sequence = 0
         self._active_process: Optional[Process] = None
         self._pool: list[_TriggerEvent] = []
         #: Sequence number of the last live event popped: with ``_now``
         #: it is the clock's position among same-instant events.
         self._seq_now = 0
-        #: Heap entries whose event is RETIRED (lazily deleted).
+        #: Heap and lane entries whose event is RETIRED (lazily deleted).
         self._retired = 0
         #: The pending stop sentinel's heap entry, if any.
         self._stop_entry: Optional[tuple[float, int, int, Event]] = None
@@ -157,17 +183,24 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = PRIORITY_NORMAL) -> None:
-        """Insert a triggered event into the calendar queue.
+    def _schedule(self, event: Event, delay: float) -> None:
+        """Insert a triggered event into the calendar queue: the lane
+        when it is due now, the heap otherwise.
 
         The single owner of negative-delay validation: every scheduling
-        path (``Timeout``, ``succeed``/``fail`` delays, pooled trigger
-        events) funnels through here.
+        path that carries a delay (``Timeout``, ``succeed``/``fail`` and
+        pooled trigger events with a non-zero delay) funnels through
+        here; the zero-delay ones append to the lane themselves.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         self._sequence += 1
-        heappush(self._heap, (self._now + delay, priority, self._sequence, event))
+        now = self._now
+        time = now + delay
+        if time == now:
+            self._lane.append((self._sequence, event))
+        else:
+            heappush(self._heap, (time, PRIORITY_NORMAL, self._sequence, event))
 
     def _trigger_pooled(
         self,
@@ -195,7 +228,11 @@ class Simulator:
         event._value = value
         event.defused = defused
         event._callbacks = [callback]
-        self._schedule(event, delay)
+        if delay:
+            self._schedule(event, delay)
+        else:
+            self._sequence += 1
+            self._lane.append((self._sequence, event))
 
     # -- retired timers (see module docstring) -------------------------------
 
@@ -204,24 +241,23 @@ class Simulator:
         event._callbacks = None
         event._state = RETIRED
         self._retired += 1
-        if self._retired * 2 > len(self._heap):
+        if self._retired * 2 > len(self._heap) + len(self._lane):
             self._compact()
 
-    def _drop(self, entry: tuple[float, int, int, Event]) -> None:
-        """Forget a retired entry taken off the heap, keeping its slot."""
-        event = entry[3]
+    def _drop(self, time: float, seq: int, event: Event) -> None:
+        """Forget a retired entry taken off the schedule, keeping its slot."""
         event._state = EVICTED
-        event._key = (entry[0], entry[2])  # type: ignore[attr-defined]
+        event._key = (time, seq)  # type: ignore[attr-defined]
         self._retired -= 1
 
     def _compact(self) -> None:
         """Rebuild the heap without its retired entries (in place: the
-        run() loop holds a reference to the list)."""
+        run() loop holds a reference to the list).  Lane entries stay."""
         heap = self._heap
         live = []
         for entry in heap:
             if entry[3]._state == RETIRED:
-                self._drop(entry)
+                self._drop(entry[0], entry[2], entry[3])
             else:
                 live.append(entry)
         heap[:] = live
@@ -229,7 +265,7 @@ class Simulator:
 
     def _is_behind(self, event: Event) -> bool:
         """Whether the clock has passed a retired timer's slot."""
-        if event._state == RETIRED:  # its entry is still ahead in the heap
+        if event._state == RETIRED:  # its entry is still queued ahead
             return False
         time, seq = event._key  # type: ignore[attr-defined]
         return time < self._now or (time == self._now and seq < self._seq_now)
@@ -252,9 +288,10 @@ class Simulator:
         """Make the running ``run()`` return right after the current event.
 
         The remaining callbacks of the current event still run; the
-        next pop is a sentinel that sorts before every other entry at
-        this instant, reuses the current sequence number (so it
-        consumes none) and is not counted in ``events_processed``.
+        next pop is a heap sentinel that sorts before every other entry
+        at this instant (the lane's too), reuses the current sequence
+        number (so it consumes none) and is not counted in
+        ``events_processed``.
         Meant for ``run()`` (``step()`` would surface the request as a
         :class:`StopSimulation`); a second request before the first is
         reached is a no-op.
@@ -288,21 +325,51 @@ class Simulator:
 
     # -- execution -----------------------------------------------------------
 
+    def _next_live(self) -> Optional[tuple[float, int, int, Event]]:
+        """The next live entry in heap form (a lane entry is reported
+        as ``(now, PRIORITY_NORMAL, sequence, event)``), dropping the
+        retired entries ahead of it; ``None`` when idle."""
+        heap = self._heap
+        lane = self._lane
+        while True:
+            if heap and heap[0][0] <= self._now or not lane:
+                if not heap:
+                    return None
+                entry = heap[0]
+                if entry[3]._state == RETIRED:
+                    heappop(heap)
+                    self._drop(entry[0], entry[2], entry[3])
+                    continue
+                return entry
+            seq, event = lane[0]
+            if event._state == RETIRED:
+                lane.popleft()
+                self._drop(self._now, seq, event)
+                continue
+            return (self._now, PRIORITY_NORMAL, seq, event)
+
+    def next_key(self) -> Optional[tuple[float, int, int]]:
+        """``(time, priority, sequence)`` of the next live event, or
+        ``None`` when idle (for differential tests and diagnostics)."""
+        entry = self._next_live()
+        return None if entry is None else entry[:3]
+
     def peek(self) -> float:
         """Time of the next live scheduled event, or ``inf`` when idle."""
-        heap = self._heap
-        while heap and heap[0][3]._state == RETIRED:
-            self._drop(heappop(heap))
-        return heap[0][0] if heap else _INF
+        entry = self._next_live()
+        return _INF if entry is None else entry[0]
 
     def step(self) -> None:
         """Process exactly one (live) event."""
-        heap = self._heap
-        while heap and heap[0][3]._state == RETIRED:
-            self._drop(heappop(heap))
-        if not heap:
+        entry = self._next_live()
+        if entry is None:
             raise SimulationError("step() on an empty schedule")
-        time, _priority, seq, event = heappop(heap)
+        heap = self._heap
+        if heap and heap[0] is entry:
+            heappop(heap)
+        else:
+            self._lane.popleft()
+        time, _priority, seq, event = entry
         if time < self._now:
             raise SimulationError("event scheduled in the past")
         self._now = time
@@ -336,56 +403,48 @@ class Simulator:
             if deadline < self._now:
                 raise ValueError(f"until={deadline} is in the past (now={self._now})")
 
-        # The loop below is step() inlined: locals for the heap and
-        # heappop, Event._run_callbacks unrolled (no subclass overrides
-        # it), counter flushed once in the finally.  Scheduling in the
-        # past is impossible through _schedule (delay >= 0), so the
-        # defensive check step() keeps is skipped here.  Retired
-        # entries are dropped as they surface, uncounted.
+        # The loop below is step() inlined: locals for the queues and
+        # their pops, Event._run_callbacks unrolled (no subclass
+        # overrides it), counter flushed once in the finally.
+        # Scheduling in the past is impossible through _schedule
+        # (delay >= 0), so the defensive check step() keeps is skipped
+        # here.  Retired entries are dropped as they surface, uncounted.
+        # Pop rule (module docstring): a heap entry due by now, else the
+        # lane, else the heap's top when it is within the deadline.
         heap = self._heap
+        lane = self._lane
+        popleft = lane.popleft
         pool = self._pool
         processed = 0
         try:
-            if deadline == _INF:
-                while heap:
+            while True:
+                if heap and heap[0][0] <= self._now or not lane:
+                    if not heap or heap[0][0] > deadline:
+                        break
                     entry = heappop(heap)
                     event = entry[3]
                     if event._state == RETIRED:
-                        self._drop(entry)
+                        self._drop(entry[0], entry[2], event)
                         continue
                     self._now = entry[0]
                     self._seq_now = entry[2]
-                    processed += 1
-                    event._state = PROCESSED
-                    callbacks = event._callbacks
-                    if callbacks is not None:
-                        event._callbacks = None
-                        for callback in callbacks:
-                            callback(event)
-                    if not event._ok and not event.defused:
-                        raise event._value
-                    if event._pooled and len(pool) < _POOL_MAX:
-                        pool.append(event)  # type: ignore[arg-type]
-            else:
-                while heap and heap[0][0] <= deadline:
-                    entry = heappop(heap)
-                    event = entry[3]
+                else:
+                    seq, event = popleft()
                     if event._state == RETIRED:
-                        self._drop(entry)
+                        self._drop(self._now, seq, event)
                         continue
-                    self._now = entry[0]
-                    self._seq_now = entry[2]
-                    processed += 1
-                    event._state = PROCESSED
-                    callbacks = event._callbacks
-                    if callbacks is not None:
-                        event._callbacks = None
-                        for callback in callbacks:
-                            callback(event)
-                    if not event._ok and not event.defused:
-                        raise event._value
-                    if event._pooled and len(pool) < _POOL_MAX:
-                        pool.append(event)  # type: ignore[arg-type]
+                    self._seq_now = seq
+                processed += 1
+                event._state = PROCESSED
+                callbacks = event._callbacks
+                if callbacks is not None:
+                    event._callbacks = None
+                    for callback in callbacks:
+                        callback(event)
+                if not event._ok and not event.defused:
+                    raise event._value
+                if event._pooled and len(pool) < _POOL_MAX:
+                    pool.append(event)  # type: ignore[arg-type]
         except StopSimulation as stop:
             return stop.value
         finally:
@@ -410,7 +469,7 @@ class Simulator:
             )
         if deadline != _INF:
             # Everything scheduled so far at or before the deadline is
-            # behind the clock now.
+            # behind the clock now (the lane is empty).
             self._now = deadline
             self._seq_now = self._sequence
         return None

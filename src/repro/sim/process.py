@@ -19,11 +19,17 @@ because ``_resume`` never retains the event it is called with — it only
 reads the outcome and possibly marks the failure defused.  Scheduling
 order is unchanged: the pooled path assigns its heap sequence number at
 the same program point the old ``succeed()``/``fail()`` calls did.
+
+The bound ``_resume`` method is created once per process and kept in a
+slot, so waits and relays append the same callback object instead of
+binding a fresh method each time.  Plain generators skip the
+duck-typing checks of the constructor.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from types import GeneratorType
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.sim.errors import Interrupt, SimulationError
 from repro.sim.events import PENDING, PROCESSED, Event
@@ -35,18 +41,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Process(Event):
     """A running simulation actor wrapping a generator."""
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator", "_waiting_on", "_resume_cb")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        if type(generator) is not GeneratorType and (
+            not hasattr(generator, "send") or not hasattr(generator, "throw")
+        ):
             raise TypeError(f"Process requires a generator, got {type(generator).__name__}")
         super().__init__(sim, name or getattr(generator, "__name__", "process"))
         self._generator = generator
         self._waiting_on: Optional[Event] = None
+        #: ``self._resume``, bound once (see the module docstring).
+        self._resume_cb: Callable[[Event], None] = self._resume
         # Kick-start: resume at the current instant with a pooled
         # initialisation event, so process bodies begin executing in
         # creation order.
-        sim._trigger_pooled(self._resume, None)
+        sim._trigger_pooled(self._resume_cb, None)
 
     # -- state ---------------------------------------------------------------
 
@@ -75,13 +85,9 @@ class Process(Event):
         if self is self.sim.active_process:
             raise SimulationError("a process cannot interrupt itself")
         # Detach from the waited-on event.
-        if self._waiting_on is not None:
-            cbs = self._waiting_on._callbacks
-            if cbs is not None and self._resume in cbs:
-                cbs.remove(self._resume)
-        self._waiting_on = None
+        self._detach()
         # The interrupt itself is always considered observed (defused).
-        self.sim._trigger_pooled(self._resume, Interrupt(cause), ok=False, defused=True)
+        self.sim._trigger_pooled(self._resume_cb, Interrupt(cause), ok=False, defused=True)
 
     def kill(self, cause: Any = None) -> None:
         """Terminate the process immediately without running it further.
@@ -94,13 +100,17 @@ class Process(Event):
         """
         if self._state != PENDING:
             return
-        if self._waiting_on is not None:
-            cbs = self._waiting_on._callbacks
-            if cbs is not None and self._resume in cbs:
-                cbs.remove(self._resume)
-        self._waiting_on = None
+        self._detach()
         self._generator.close()
         self.succeed(None)
+
+    def _detach(self) -> None:
+        """Stop waiting on the current target (which may still trigger)."""
+        if self._waiting_on is not None:
+            cbs = self._waiting_on._callbacks
+            if cbs is not None and self._resume_cb in cbs:
+                cbs.remove(self._resume_cb)
+        self._waiting_on = None
 
     # -- kernel callback --------------------------------------------------------
 
@@ -154,11 +164,11 @@ class Process(Event):
             # Already-processed events resume the process immediately
             # (still via the scheduler, to preserve determinism).
             sim._trigger_pooled(
-                self._resume, target._value, ok=target._ok, defused=not target._ok
+                self._resume_cb, target._value, ok=target._ok, defused=not target._ok
             )
         else:
             cbs = target._callbacks
             if cbs is None:
-                target._callbacks = [self._resume]
+                target._callbacks = [self._resume_cb]
             else:
-                cbs.append(self._resume)
+                cbs.append(self._resume_cb)

@@ -162,13 +162,17 @@ class Store:
     def _dispatch(self) -> None:
         getters = self._getters
         items = self.items
-        # Fast path: a live, unfiltered getter at the head of the queue
-        # takes the oldest item — the overwhelmingly common mailbox
-        # case.  Identical to one iteration of the general scan below
-        # with gi == 0 and ii == 0.
+        # Fast path, identical to one iteration of the general scan
+        # below with gi == 0 and ii == 0: a cancelled getter at the head
+        # is dropped; a live head getter takes the oldest item when it
+        # has no filter (the mailbox case) or its filter matches that
+        # item (the session-inbox case).
         while getters and items:
             event, predicate = getters[0]
-            if predicate is not None or event._state != PENDING:
+            if event._state != PENDING:  # cancelled externally
+                getters.popleft()
+                continue
+            if predicate is not None and not predicate(items[0]):
                 break
             getters.popleft()
             event.succeed(items.popleft())

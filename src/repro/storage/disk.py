@@ -55,13 +55,14 @@ class Disk:
             yield self.sim.timeout(self.params.write_latency(nbytes))
             self.bytes_written += nbytes
             self.writes += 1
-            self.trace.emit(
-                "disk_write",
-                actor,
-                device=self.name,
-                nbytes=nbytes,
-                service=self.sim.now - start,
-            )
+            if self.trace.enabled:
+                self.trace.emit(
+                    "disk_write",
+                    actor,
+                    device=self.name,
+                    nbytes=nbytes,
+                    service=self.sim.now - start,
+                )
 
     def stall(self, duration: float, actor: str = "fault") -> Generator:
         """Generator: hold one service slot for ``duration`` seconds.

@@ -44,7 +44,11 @@ class _FlushJob:
         self.sync = sync
         #: Per-job byte total, computed once at enqueue time (the batch
         #: scan in ``_next_batch`` used to recompute it per iteration).
-        self.nbytes = sum(r.size for r in records)
+        #: Summed by a plain loop in record order (see _flush_loop).
+        nbytes: float = 0
+        for record in records:
+            nbytes += record.size
+        self.nbytes = nbytes
 
 
 class WriteAheadLog:
@@ -129,14 +133,16 @@ class WriteAheadLog:
             if record.lsn == 0:
                 self._lsn += 1
                 object.__setattr__(record, "lsn", self._lsn)
-        for record in records:
-            self.obs.log_append(
-                self.owner,
-                kind=str(record.kind),
-                txn=record.txn_id,
-                sync=sync,
-                nbytes=record.size,
-            )
+        obs = self.obs
+        if obs.enabled:
+            for record in records:
+                obs.log_append(
+                    self.owner,
+                    kind=str(record.kind),
+                    txn=record.txn_id,
+                    sync=sync,
+                    nbytes=record.size,
+                )
         wakeup = self._wakeup
         if wakeup is not None:
             # Batched wakeup: the first append of a burst triggers the
@@ -179,11 +185,16 @@ class WriteAheadLog:
                 yield self._wakeup
                 continue
             batch = self._next_batch()
-            # NOTE: this flattened sum must not be replaced by
-            # ``sum(job.nbytes for job in batch)`` — float addition is
-            # non-associative, and regrouping per job would perturb
-            # device write times (and thus every golden trace).
-            nbytes = sum(r.size for job in batch for r in job.records)
+            # NOTE: this flattened sum must not be replaced by a sum of
+            # ``job.nbytes`` — float addition is non-associative, and
+            # regrouping per job would perturb device write times (and
+            # thus every golden trace).  A plain loop, record by record
+            # in log order: no generator per flush, and the same float
+            # on every Python (3.12's ``sum()`` compensates rounding).
+            nbytes: float = 0
+            for job in batch:
+                for record in job.records:
+                    nbytes += record.size
             try:
                 self._check_fence()
                 yield from self.disk.write(nbytes, actor=self.owner)
@@ -200,17 +211,19 @@ class WriteAheadLog:
             if generation != self._generation:
                 # Crashed while the write was in flight: data lost.
                 return
+            obs = self.obs
             for job in batch:
                 self._queue.popleft()
                 self._durable.extend(job.records)
-                for record in job.records:
-                    self.obs.log_durable(
-                        self.owner,
-                        kind=str(record.kind),
-                        txn=record.txn_id,
-                        sync=job.sync,
-                        nbytes=record.size,
-                    )
+                if obs.enabled:
+                    for record in job.records:
+                        obs.log_durable(
+                            self.owner,
+                            kind=str(record.kind),
+                            txn=record.txn_id,
+                            sync=job.sync,
+                            nbytes=record.size,
+                        )
                 if not job.done.triggered:
                     job.done.succeed()
 

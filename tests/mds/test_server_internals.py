@@ -46,8 +46,29 @@ def test_crash_kills_tracked_processes():
     server.crash()
     cluster.sim.run(until=1.0)
     assert log == ["cleanup"]
-    assert server._procs == set()
+    assert not server._procs
     assert server._sessions == {}
+
+
+def test_crash_kills_processes_in_spawn_order():
+    """Kill order decides the order of the generators' ``finally``
+    blocks and of the completion events' sequence numbers, so it must
+    not depend on memory addresses."""
+    cluster, _ = make_cluster("1PC")
+    server = cluster.servers["mds1"]
+    killed = []
+
+    def proc(sim, i):
+        try:
+            yield sim.timeout(10.0)
+        finally:
+            killed.append(i)
+
+    for i in range(20):
+        server.spawn(proc(cluster.sim, i))
+    cluster.sim.run(until=0.1)
+    server.crash()
+    assert killed == list(range(20))
 
 
 def test_sessions_cleared_on_crash():

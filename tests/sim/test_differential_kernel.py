@@ -16,6 +16,12 @@ cross-process waits, interrupts, re-armed deadlines):
   ``now`` ends at the last live pop;
 * the inlined ``run()`` loop agrees with a ``step()``-wise drive.
 
+The same-instant programs aim at the kernel's lane of zero-delay
+entries: heap entries due at an instant racing zero-delay chains
+created at that instant, zero-delay timers retired (and re-armed) in
+the lane, compaction while retired entries wait in the lane, and
+``stop()`` requested with lane entries pending before ``run()`` resumes.
+
 A dead pop is classified on the reference side, at pop time: a
 ``RefTimeout`` that has callbacks, every one of them the trigger hook
 of a condition that has already triggered.
@@ -32,6 +38,7 @@ from typing import Any
 import pytest
 
 from repro.sim import AllOf, AnyOf, Interrupt, Simulator
+from repro.sim.events import RETIRED
 from tests.sim.reference_kernel import (
     RefAllOf,
     RefAnyOf,
@@ -43,6 +50,9 @@ from tests.sim.reference_kernel import (
 
 N_SCHEDULES = 200
 N_STORMS = 40
+N_INSTANTS = 60
+N_LANE_STORMS = 20
+N_STOPS = 30
 
 # -- program generation -------------------------------------------------------
 #
@@ -120,9 +130,64 @@ def make_storm_program(rng: random.Random) -> list[list[tuple]]:
     return program
 
 
+def make_instant_program(rng: random.Random, stops: bool = False) -> list[list[tuple]]:
+    """Same-instant programs: a coarse delay grid makes heap entries of
+    several processes coincide, and each process waking at an instant
+    creates zero-delay chains, children and retired zero-delay timers
+    there.  ``stops`` adds ``stop()`` requests (the first process always
+    makes one first thing, before any wait that could deadlock)."""
+
+    def coarse() -> float:
+        return rng.randrange(1, 4) * 0.0009765625
+
+    n_procs = rng.randrange(3, 9)
+    program: list[list[tuple]] = []
+    for _ in range(n_procs):
+        ops: list[tuple] = []
+        for _ in range(rng.randrange(2, 7)):
+            kind = rng.randrange(8 if stops else 7)
+            if kind <= 1:
+                ops.append(("timeout", coarse(), rng.randrange(1000)))
+            elif kind == 2:
+                ops.append(("zero_chain", rng.randrange(1, 5)))
+            elif kind == 3:
+                ops.append(("spawn_zero", rng.randrange(1, 4)))
+            elif kind == 4:
+                ops.append(("zero_rearm", rng.random() < 0.5))
+            elif kind == 5:
+                ops.append(("zero_storm", [coarse() for _ in range(rng.randrange(1, 4))]))
+            elif kind == 6:
+                ops.append(("wait_peer", rng.randrange(n_procs)))
+            else:
+                ops.append(("stop",))
+        program.append(ops)
+    if stops:
+        program[0].insert(0, ("stop",))
+    return program
+
+
+def make_lane_storm_program(rng: random.Random) -> list[list[tuple]]:
+    """Timer storms whose losers include zero-delay timers, so retired
+    entries wait in the lane while compaction runs."""
+
+    def long() -> float:
+        return rng.randrange(32, 2048) * 0.0009765625
+
+    program: list[list[tuple]] = []
+    for _ in range(rng.randrange(8, 24)):
+        ops: list[tuple] = []
+        for _ in range(rng.randrange(1, 4)):
+            ops.append(("zero_storm", [long() for _ in range(rng.randrange(3, 12))]))
+            ops.append(("timeout", rng.randrange(1, 4) * 0.0009765625, 0))
+        program.append(ops)
+    return program
+
+
 def build(sim: Any, api: dict[str, Any], program: list[list[tuple]]) -> list[Any]:
-    """Instantiate ``program`` against a kernel; returns the processes."""
+    """Instantiate ``program`` against a kernel; returns the processes.
+    ``api["stop"]`` (optional) serves the ``stop`` op."""
     allof, anyof, interrupt_exc = api["AllOf"], api["AnyOf"], api["Interrupt"]
+    stop = api.get("stop", lambda: None)
     procs: list[Any] = []
 
     def worker(ops: list[tuple]):
@@ -197,6 +262,53 @@ def build(sim: Any, api: dict[str, Any], program: list[list[tuple]]) -> list[Any
                     deadline.callbacks.append(lambda e: seen.append(e.value))
                     yield sim.timeout(long)
                     digest.append(list(seen))
+                elif op[0] == "zero_chain":
+                    # Zero-delay timeouts and ready events: all due now.
+                    for j in range(op[1]):
+                        if j % 2:
+                            event = sim.event()
+                            event.succeed(j)
+                            digest.append(((yield event), sim.now))
+                        else:
+                            digest.append(((yield sim.timeout(0.0, j)), sim.now))
+                elif op[0] == "spawn_zero":
+                    child = sim.process(worker([("zero_chain", op[1])]), name="child")
+                    digest.append((yield child))
+                elif op[0] == "zero_rearm":
+                    # A zero-delay timer loses to an earlier ready event
+                    # and is retired in the lane; with op[1] a later
+                    # callback of the winner re-arms it while it is still
+                    # queued, otherwise yielding it re-arms it after it
+                    # was dropped (as already processed).
+                    event = sim.event()
+                    event.succeed("ready")
+                    zero = sim.timeout(0.0, "zero")
+                    seen = []
+                    cond = anyof(sim, [event, zero])
+                    if op[1]:
+                        event.callbacks.append(
+                            lambda _e, z=zero, s=seen: z.callbacks.append(
+                                lambda t: s.append(t.value)
+                            )
+                        )
+                    result = yield cond
+                    digest.append(sorted(map(str, result.values())))
+                    digest.append(((yield zero), sim.now))
+                    digest.append(list(seen))
+                elif op[0] == "zero_storm":
+                    # Per round, a zero-delay and a long timer both lose.
+                    for long in op[1]:
+                        event = sim.event()
+                        event.succeed("ready")
+                        result = yield anyof(
+                            sim, [event, sim.timeout(0.0, "zero"), sim.timeout(long, "late")]
+                        )
+                        digest.append(sorted(map(str, result.values())))
+                elif op[0] == "stop":
+                    event = sim.event()
+                    event.succeed("after-stop")
+                    stop()
+                    digest.append(((yield event), sim.now))
             except interrupt_exc as exc:
                 digest.append(("interrupted", str(exc.cause)))
         return digest
@@ -254,9 +366,8 @@ def run_optimized_stepwise(program: list[list[tuple]]):
     api = {"AllOf": AllOf, "AnyOf": AnyOf, "Interrupt": Interrupt}
     procs = build(sim, api, program)
     pop_log: list[tuple[float, int, int]] = []
-    while sim.peek() != float("inf"):
-        entry = sim._heap[0]  # peek() dropped any retired entries on top
-        pop_log.append((entry[0], entry[1], entry[2]))
+    while (key := sim.next_key()) is not None:
+        pop_log.append(key)
         sim.step()
     return pop_log, outcomes(procs), sim.now, sim.events_processed
 
@@ -268,6 +379,26 @@ def run_optimized_inline(program: list[list[tuple]]):
     procs = build(sim, api, program)
     sim.run()
     return outcomes(procs), sim.now, sim.events_processed
+
+
+def run_optimized_resumed(program: list[list[tuple]]):
+    """Drive the optimized kernel through run(), resumed after every
+    ``stop()``; also returns the runs made and the lane's length at each
+    stop request."""
+    sim = Simulator()
+    lane_at_stop: list[int] = []
+
+    def stop() -> None:
+        lane_at_stop.append(len(sim._lane))
+        sim.stop()
+
+    api = {"AllOf": AllOf, "AnyOf": AnyOf, "Interrupt": Interrupt, "stop": stop}
+    procs = build(sim, api, program)
+    runs = 0
+    while sim.peek() != float("inf"):
+        sim.run()
+        runs += 1
+    return outcomes(procs), sim.now, sim.events_processed, runs, lane_at_stop
 
 
 def assert_matches_reference(program: list[list[tuple]], label: str) -> int:
@@ -369,3 +500,91 @@ def test_differential_pop_log_nonempty():
     program = make_program(random.Random(0))
     ref_log, _, _, count, dead = run_reference(program)
     assert len(ref_log) == count - dead > 0
+
+
+# -- the same-instant lane ------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(N_INSTANTS))
+def test_differential_same_instant(seed):
+    assert_matches_reference(make_instant_program(random.Random(seed)), f"instant {seed}")
+
+
+def test_same_instant_programs_race_heap_and_lane():
+    """Meta-check: the same-instant programs really have heap entries
+    due at an instant while zero-delay entries created at that instant
+    wait in the lane, and retire zero-delay timers in the lane."""
+    races = retired_in_lane = 0
+    for seed in range(N_INSTANTS):
+        sim = Simulator()
+        api = {"AllOf": AllOf, "AnyOf": AnyOf, "Interrupt": Interrupt}
+        build(sim, api, make_instant_program(random.Random(seed)))
+        while sim.next_key() is not None:
+            if sim._lane and sim._heap and sim._heap[0][0] == sim.now:
+                races += 1
+            sim.step()
+            retired_in_lane += sum(1 for _, e in sim._lane if e._state == RETIRED)
+    assert races > 0 and retired_in_lane > 0
+
+
+@pytest.mark.parametrize("seed", range(N_LANE_STORMS))
+def test_differential_lane_storms(seed):
+    program = make_lane_storm_program(random.Random(seed))
+    assert assert_matches_reference(program, f"lane storm {seed}") > 0
+
+
+def test_compaction_keeps_lane_entries(monkeypatch):
+    """Compaction runs while retired entries wait in the lane, and
+    leaves the lane as it was, in both drives."""
+    lanes: list[tuple[int, int]] = []
+    real = Simulator._compact
+
+    def recording(self):
+        before = list(self._lane)
+        real(self)
+        assert list(self._lane) == before
+        lanes.append((len(before), sum(1 for _, e in before if e._state == RETIRED)))
+
+    monkeypatch.setattr(Simulator, "_compact", recording)
+    program = make_lane_storm_program(random.Random(0))
+    run_optimized_stepwise(program)
+    run_optimized_inline(program)
+    assert any(retired > 0 for _, retired in lanes)
+    assert all(length > 0 for length, _ in lanes)
+
+
+@pytest.mark.parametrize("seed", range(N_STOPS))
+def test_stop_with_lane_pending_then_resumed(seed):
+    """stop() with zero-delay entries still in the lane ends run() at
+    the sentinel; resuming run() finishes exactly as the reference
+    (which has no stop) does, with the sentinels uncounted."""
+    program = make_instant_program(random.Random(seed), stops=True)
+    _, ref_values, ref_now, ref_count, dead = run_reference(program)
+    values, now, count, runs, lane_at_stop = run_optimized_resumed(program)
+    assert values == ref_values
+    assert now == ref_now
+    assert count == ref_count - dead
+    assert lane_at_stop and all(length > 0 for length in lane_at_stop)
+    assert runs >= 2
+
+
+def test_evicted_lane_entry_rearmed_ahead_returns_to_the_heap():
+    """peek() drops a retired zero-delay timer from the front of the
+    lane; re-armed before the clock passes its slot, it goes back onto
+    the heap and still fires before the lane entries behind it."""
+    results = []
+    for sim, anyof in ((RefSimulator(), RefAnyOf), (Simulator(), AnyOf)):
+        log: list[str] = []
+        ready = sim.event()
+        ready.succeed()
+        zero = sim.timeout(0.0, "zero")
+        anyof(sim, [ready, zero])
+        after = sim.event()
+        after.succeed()
+        after.callbacks.append(lambda _e, log=log: log.append("after"))
+        sim.step()  # ready: the condition resolves and zero loses
+        assert sim.peek() == 0.0
+        zero.callbacks.append(lambda e, log=log: log.append(e.value))
+        sim.run()
+        results.append(log)
+    assert results[0] == results[1] == ["zero", "after"]

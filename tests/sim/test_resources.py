@@ -251,3 +251,66 @@ def test_store_len():
     store.put(1)
     store.put(2)
     assert len(store) == 2
+
+
+# -- Store._dispatch fast paths: each must equal the general first-match scan --
+
+
+def test_store_lone_filtered_getter_takes_matching_head():
+    sim = Simulator()
+    store = Store(sim)
+    store.put("a1")
+    store.put("a2")
+    got = store.get(lambda x: x.startswith("a"))
+    sim.run()
+    assert got.value == "a1"
+    assert list(store.items) == ["a2"]
+
+
+def test_store_lone_filtered_getter_skips_unmatched_head():
+    sim = Simulator()
+    store = Store(sim)
+    got = store.get(lambda x: x == "b")
+    store.put("a")  # head does not match: stays queued
+    assert not got.triggered
+    store.put("b")
+    store.put("c")
+    sim.run()
+    assert got.value == "b"
+    assert list(store.items) == ["a", "c"]
+
+
+def test_store_two_filtered_getters_keep_scan_order():
+    sim = Simulator()
+    store = Store(sim)
+    wants_b = store.get(lambda x: x.startswith("b"))
+    wants_a = store.get(lambda x: x.startswith("a"))
+    either_1 = store.get(lambda x: x.endswith("1"))
+    store.put("a1")  # the first getter skips it; the second takes it
+    store.put("b1")  # the first getter (registered first) wins over the third
+    store.put("c1")
+    sim.run()
+    assert (wants_b.value, wants_a.value, either_1.value) == ("b1", "a1", "c1")
+    assert not store.items
+
+
+def test_store_cancelled_head_getter_is_dropped():
+    sim = Simulator()
+    store = Store(sim)
+    cancelled = store.get(lambda x: True)
+    cancelled.succeed(None)  # withdrawn, as a timed-out receive does
+    waiting = store.get(lambda x: x == "k")
+    store.put("k")
+    sim.run()
+    assert cancelled.value is None
+    assert waiting.value == "k"
+    assert not store._getters and not store.items
+
+
+def test_store_cancelled_lone_getter_leaves_the_item():
+    sim = Simulator()
+    store = Store(sim)
+    store.get().succeed(None)
+    store.put("kept")
+    assert list(store.items) == ["kept"]
+    assert not store._getters
